@@ -13,8 +13,9 @@
 //
 // Complexity O(κ! · N²) with the paper's naive fill; this implementation
 // also provides a heap-accelerated fill (lazy-deletion max-heap over
-// sparse affinity updates, O((nnz + N) log N) per order) that produces
-// identical mappings — a property the test suite asserts — plus
+// sparse affinity updates; each of the M site fills seeds its heap with
+// every unselected process, so O(M·N log N + nnz log N) per order) that
+// produces identical mappings — a property the test suite asserts — plus
 // parallel evaluation of the κ! orders.
 
 #include <cstdint>

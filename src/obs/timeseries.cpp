@@ -198,8 +198,16 @@ bool parse_link_label(const std::string& label, int* src, int* dst) {
   return true;
 }
 
+std::string tenant_label(int tenant) {
+  // Appended, not `"t" + std::to_string(tenant)`: GCC 12 at -O3 reports
+  // a false -Wrestrict on that expression.
+  std::string label = "t";
+  label += std::to_string(tenant);
+  return label;
+}
+
 std::string tenant_link_label(int tenant, int src, int dst) {
-  return "t" + std::to_string(tenant) + ":" + link_label(src, dst);
+  return tenant_label(tenant) + ":" + link_label(src, dst);
 }
 
 bool parse_tenant_link_label(const std::string& label, int* tenant, int* src,

@@ -180,6 +180,10 @@ std::string link_label(int src, int dst);
 /// when the label is not of that form.
 bool parse_link_label(const std::string& label, int* src, int* dst);
 
+/// Tenant label "t<k>": the lane label of per-tenant series and the
+/// prefix of tenant_link_label.
+std::string tenant_label(int tenant);
+
 /// Tenant-scoped link label "t<k>:src->dst" — the multi-tenant substrate
 /// records each tenant's per-link series under these so overlapping
 /// migrations render as separate timeline lanes.

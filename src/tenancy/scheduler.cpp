@@ -294,7 +294,7 @@ StormReport run_remap_storm(Substrate& substrate, const fault::FaultPlan& plan,
       f.final_mapping = rf.report.final_mapping;
       inflight.push_back(std::move(f));
       if (timeline != nullptr) {
-        const std::string label = "t" + std::to_string(rf.tenant);
+        const std::string label = obs::tenant_label(rf.tenant);
         timeline->series("tenant.queue_wait", label)
             .record(rf.granted_at, rf.granted_at - p.request.request_time);
         timeline->series("tenant.grant_attempts", label)
@@ -327,7 +327,7 @@ StormReport run_remap_storm(Substrate& substrate, const fault::FaultPlan& plan,
       mopts.record_events = true;
       mopts.collector = options.collector;
       if (options.collector != nullptr)
-        mopts.timeline_label_prefix = "t" + std::to_string(k) + ":";
+        mopts.timeline_label_prefix = obs::tenant_label(k) + ":";
       mopts.wal = options.wal;
       mopts.wal_tenant = k;
       rec.report = execute_migration(view, ri.at_grant, ri.target, plan,
@@ -349,7 +349,7 @@ StormReport run_remap_storm(Substrate& substrate, const fault::FaultPlan& plan,
       inflight.push_back(std::move(f));
 
       if (timeline != nullptr) {
-        const std::string label = "t" + std::to_string(k);
+        const std::string label = obs::tenant_label(k);
         timeline->series("tenant.queue_wait", label)
             .record(ri.granted_at, ri.granted_at - p.request.request_time);
         timeline->series("tenant.grant_attempts", label)
@@ -494,7 +494,7 @@ StormReport run_remap_storm(Substrate& substrate, const fault::FaultPlan& plan,
       mopts.record_events = true;
       mopts.collector = options.collector;
       if (options.collector != nullptr)
-        mopts.timeline_label_prefix = "t" + std::to_string(k) + ":";
+        mopts.timeline_label_prefix = obs::tenant_label(k) + ":";
       mopts.wal = options.wal;
       mopts.wal_tenant = k;
       // The executor gets the *view* (failed site's capacity intact —
@@ -519,7 +519,7 @@ StormReport run_remap_storm(Substrate& substrate, const fault::FaultPlan& plan,
       inflight.push_back(std::move(f));
 
       if (timeline != nullptr) {
-        const std::string label = "t" + std::to_string(k);
+        const std::string label = obs::tenant_label(k);
         timeline->series("tenant.queue_wait", label)
             .record(now, now - p.request.request_time);
         timeline->series("tenant.grant_attempts", label)

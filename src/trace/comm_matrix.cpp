@@ -21,135 +21,165 @@ void CommMatrix::Builder::add_message(ProcessId src, ProcessId dst,
   edges_.push_back(CommEdge{src, dst, bytes, messages});
 }
 
+namespace {
+
+std::size_t at(ProcessId id) { return static_cast<std::size_t>(id); }
+
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+void prefix_sum(std::vector<std::size_t>& v) {
+  for (std::size_t i = 1; i < v.size(); ++i) v[i] += v[i - 1];
+}
+
+/// Visits the union of two rows, both ascending by id, in ascending id
+/// order; an id present in both gets the sum of its two weights.
+template <typename Emit>
+void merge_rows(const CommMatrix::Row& a, const CommMatrix::Row& b,
+                Emit&& emit) {
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.size() || j < b.size()) {
+    if (j == b.size() || (i < a.size() && a.dst[i] < b.dst[j])) {
+      emit(a.dst[i], a.volume[i], a.count[i]);
+      ++i;
+    } else if (i == a.size() || b.dst[j] < a.dst[i]) {
+      emit(b.dst[j], b.volume[j], b.count[j]);
+      ++j;
+    } else {
+      emit(a.dst[i], a.volume[i] + b.volume[j], a.count[i] + b.count[j]);
+      ++i;
+      ++j;
+    }
+  }
+}
+
+}  // namespace
+
+// Every pass is a counting pass over the dense ids in [0, N). Offset
+// arrays of N + 2 slots take counts at [id + 2]; after the prefix sum,
+// [id + 1] is the id's next free slot, so placing each entry at
+// [id + 1]++ leaves [0, N] as the CSR offsets and the spare slot is
+// popped.
 CommMatrix CommMatrix::Builder::build() {
-  std::sort(edges_.begin(), edges_.end(),
-            [](const CommEdge& a, const CommEdge& b) {
-              return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-            });
-  // Coalesce duplicates in place.
-  std::vector<CommEdge> unique;
-  unique.reserve(edges_.size());
-  for (const CommEdge& e : edges_) {
-    if (!unique.empty() && unique.back().src == e.src &&
-        unique.back().dst == e.dst) {
-      unique.back().volume += e.volume;
-      unique.back().count += e.count;
-    } else {
-      unique.push_back(e);
-    }
-  }
-  edges_.clear();
-  edges_.shrink_to_fit();
-
+  const auto n = static_cast<std::size_t>(n_);
   CommMatrix m;
-  m.finalize(n_, std::move(unique));
-  return m;
-}
+  m.n_ = n_;
 
-void CommMatrix::finalize(int n, std::vector<CommEdge> sorted_unique) {
-  n_ = n;
-  row_begin_.assign(static_cast<std::size_t>(n) + 1, 0);
-  dst_.resize(sorted_unique.size());
-  volume_.resize(sorted_unique.size());
-  count_.resize(sorted_unique.size());
-
-  for (const CommEdge& e : sorted_unique)
-    ++row_begin_[static_cast<std::size_t>(e.src) + 1];
-  for (std::size_t i = 1; i < row_begin_.size(); ++i)
-    row_begin_[i] += row_begin_[i - 1];
-
-  for (std::size_t idx = 0; idx < sorted_unique.size(); ++idx) {
-    const CommEdge& e = sorted_unique[idx];
-    dst_[idx] = e.dst;
-    volume_[idx] = e.volume;
-    count_[idx] = e.count;
-    total_volume_ += e.volume;
-    total_messages_ += e.count;
+  // 1. Bucket the messages stably by dst and release the edge list. The
+  //    bucket offsets borrow t_row_begin_ until step 4 recounts it.
+  std::vector<std::size_t>& bucket = m.t_row_begin_;
+  bucket.assign(n + 2, 0);
+  for (const CommEdge& e : edges_) ++bucket[at(e.dst) + 2];
+  prefix_sum(bucket);
+  std::vector<ProcessId> src(edges_.size());
+  std::vector<Bytes> volume(edges_.size());
+  std::vector<double> count(edges_.size());
+  for (const CommEdge& e : edges_) {
+    const std::size_t pos = bucket[at(e.dst) + 1]++;
+    src[pos] = e.src;
+    volume[pos] = e.volume;
+    count[pos] = e.count;
   }
-  build_transpose(sorted_unique);
-  build_undirected();
-}
+  std::vector<CommEdge>().swap(edges_);
+  bucket.pop_back();
 
-void CommMatrix::build_transpose(const std::vector<CommEdge>& edges_by_src) {
-  std::vector<CommEdge> by_dst = edges_by_src;
-  std::sort(by_dst.begin(), by_dst.end(),
-            [](const CommEdge& a, const CommEdge& b) {
-              return a.dst != b.dst ? a.dst < b.dst : a.src < b.src;
-            });
-  t_row_begin_.assign(static_cast<std::size_t>(n_) + 1, 0);
-  t_src_.resize(by_dst.size());
-  t_volume_.resize(by_dst.size());
-  t_count_.resize(by_dst.size());
-  for (const CommEdge& e : by_dst)
-    ++t_row_begin_[static_cast<std::size_t>(e.dst) + 1];
-  for (std::size_t i = 1; i < t_row_begin_.size(); ++i)
-    t_row_begin_[i] += t_row_begin_[i - 1];
-  for (std::size_t idx = 0; idx < by_dst.size(); ++idx) {
-    t_src_[idx] = by_dst[idx].src;
-    t_volume_[idx] = by_dst[idx].volume;
-    t_count_[idx] = by_dst[idx].count;
+  // 2. Size the rows: count each source's distinct dsts. The buckets are
+  //    walked in dst order, so all repeats of a pair fall in one bucket
+  //    and a per-source "last dst seen" mark spots its first occurrence.
+  //    The mark array becomes u_row_begin_ in step 5.
+  std::vector<std::size_t> mark(n + 1, kNone);
+  m.row_begin_.assign(n + 2, 0);
+  for (std::size_t d = 0; d < n; ++d) {
+    for (std::size_t k = bucket[d]; k < bucket[d + 1]; ++k) {
+      const std::size_t s = at(src[k]);
+      if (mark[s] == d) continue;
+      mark[s] = d;
+      ++m.row_begin_[s + 2];
+    }
   }
-}
+  prefix_sum(m.row_begin_);
 
-void CommMatrix::build_undirected() {
-  // Merge (i,j) and (j,i) into one undirected neighbour list per process.
-  struct UEdge {
-    ProcessId a, b;
-    Bytes volume;
-    double count;
-  };
-  std::vector<UEdge> half;
-  half.reserve(nnz());
+  // 3. Scatter the buckets into the source rows. A row receives its
+  //    entries by ascending dst, and a pair's repeats in recording order,
+  //    so the rows come out as a stable sort by (src, dst) leaves them.
+  //    A repeat always lands on its row's last entry and is summed into
+  //    it: duplicate contributions add up in recording order.
+  const std::size_t nnz = m.row_begin_[n + 1];
+  m.dst_.resize(nnz);
+  m.volume_.resize(nnz);
+  m.count_.resize(nnz);
+  std::fill(mark.begin(), mark.end(), kNone);
+  for (std::size_t d = 0; d < n; ++d) {
+    for (std::size_t k = bucket[d]; k < bucket[d + 1]; ++k) {
+      const std::size_t s = at(src[k]);
+      if (mark[s] == d) {
+        const std::size_t last = m.row_begin_[s + 1] - 1;
+        m.volume_[last] += volume[k];
+        m.count_[last] += count[k];
+        continue;
+      }
+      mark[s] = d;
+      const std::size_t pos = m.row_begin_[s + 1]++;
+      m.dst_[pos] = static_cast<ProcessId>(d);
+      m.volume_[pos] = volume[k];
+      m.count_[pos] = count[k];
+    }
+  }
+  m.row_begin_.pop_back();
+  std::vector<ProcessId>().swap(src);
+  std::vector<Bytes>().swap(volume);
+  std::vector<double>().swap(count);
+
+  // 4. Totals in row-major order, then the transpose scattered from the
+  //    sorted rows: sources arrive ascending, so every in-row is sorted.
+  std::vector<std::size_t>& t = m.t_row_begin_;
+  t.assign(n + 2, 0);
+  for (std::size_t k = 0; k < nnz; ++k) {
+    ++t[at(m.dst_[k]) + 2];
+    m.total_volume_ += m.volume_[k];
+    m.total_messages_ += m.count_[k];
+  }
+  prefix_sum(t);
+  m.t_src_.resize(nnz);
+  m.t_volume_.resize(nnz);
+  m.t_count_.resize(nnz);
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t k = m.row_begin_[s]; k < m.row_begin_[s + 1]; ++k) {
+      const std::size_t pos = t[at(m.dst_[k]) + 1]++;
+      m.t_src_[pos] = static_cast<ProcessId>(s);
+      m.t_volume_[pos] = m.volume_[k];
+      m.t_count_[pos] = m.count_[k];
+    }
+  }
+  t.pop_back();
+
+  // 5. The undirected view: each out-row merged with its in-row, the two
+  //    directions of a pair summed (a two-term sum, so which direction
+  //    comes first cannot change its bits). A process's traffic sums its
+  //    undirected row in ascending neighbour order.
+  std::vector<std::size_t>& u = mark;
+  u.assign(n + 1, 0);
   for (ProcessId i = 0; i < n_; ++i) {
-    const Row r = row(i);
-    for (std::size_t k = 0; k < r.size(); ++k) {
-      const ProcessId j = r.dst[k];
-      // Store canonically (min, max) and coalesce below.
-      const ProcessId a = std::min(i, j);
-      const ProcessId b = std::max(i, j);
-      half.push_back(UEdge{a, b, r.volume[k], r.count[k]});
-    }
+    merge_rows(m.row(i), m.in_row(i),
+               [&](ProcessId, Bytes, double) { ++u[at(i) + 1]; });
   }
-  std::sort(half.begin(), half.end(), [](const UEdge& x, const UEdge& y) {
-    return x.a != y.a ? x.a < y.a : x.b < y.b;
-  });
-  std::vector<UEdge> merged;
-  merged.reserve(half.size());
-  for (const UEdge& e : half) {
-    if (!merged.empty() && merged.back().a == e.a && merged.back().b == e.b) {
-      merged.back().volume += e.volume;
-      merged.back().count += e.count;
-    } else {
-      merged.push_back(e);
-    }
+  prefix_sum(u);
+  m.u_dst_.resize(u[n]);
+  m.u_volume_.resize(u[n]);
+  m.u_count_.resize(u[n]);
+  m.traffic_.assign(n, 0.0);
+  for (ProcessId i = 0; i < n_; ++i) {
+    std::size_t pos = u[at(i)];
+    merge_rows(m.row(i), m.in_row(i), [&](ProcessId j, Bytes v, double c) {
+      m.u_dst_[pos] = j;
+      m.u_volume_[pos] = v;
+      m.u_count_[pos] = c;
+      ++pos;
+      m.traffic_[at(i)] += v;
+    });
   }
-
-  u_row_begin_.assign(static_cast<std::size_t>(n_) + 1, 0);
-  traffic_.assign(static_cast<std::size_t>(n_), 0.0);
-  for (const UEdge& e : merged) {
-    ++u_row_begin_[static_cast<std::size_t>(e.a) + 1];
-    ++u_row_begin_[static_cast<std::size_t>(e.b) + 1];
-    traffic_[static_cast<std::size_t>(e.a)] += e.volume;
-    traffic_[static_cast<std::size_t>(e.b)] += e.volume;
-  }
-  for (std::size_t i = 1; i < u_row_begin_.size(); ++i)
-    u_row_begin_[i] += u_row_begin_[i - 1];
-
-  const std::size_t total = u_row_begin_.back();
-  u_dst_.resize(total);
-  u_volume_.resize(total);
-  u_count_.resize(total);
-  std::vector<std::size_t> cursor(u_row_begin_.begin(), u_row_begin_.end() - 1);
-  for (const UEdge& e : merged) {
-    auto put = [&](ProcessId from, ProcessId to) {
-      const std::size_t pos = cursor[static_cast<std::size_t>(from)]++;
-      u_dst_[pos] = to;
-      u_volume_[pos] = e.volume;
-      u_count_[pos] = e.count;
-    };
-    put(e.a, e.b);
-    put(e.b, e.a);
-  }
+  m.u_row_begin_ = std::move(u);
+  return m;
 }
 
 CommMatrix::Row CommMatrix::row(ProcessId i) const {
@@ -224,7 +254,10 @@ CommMatrix CommMatrix::from_text(const std::string& text) {
   int n = 0;
   std::size_t nnz = 0;
   is >> magic >> n >> nnz;
-  GEOMAP_CHECK_MSG(magic == "commmatrix", "bad comm matrix header");
+  GEOMAP_CHECK_MSG(is && magic == "commmatrix", "bad comm matrix header");
+  GEOMAP_CHECK_MSG(n > 0 && n <= kMaxTextProcesses,
+                   "comm matrix N=" << n << " outside [1, "
+                                    << kMaxTextProcesses << "]");
   Builder b(n);
   for (std::size_t k = 0; k < nnz; ++k) {
     CommEdge e;
@@ -232,6 +265,8 @@ CommMatrix CommMatrix::from_text(const std::string& text) {
     GEOMAP_CHECK_MSG(static_cast<bool>(is), "truncated comm matrix text");
     b.add_message(e.src, e.dst, e.volume, e.count);
   }
+  char extra = 0;
+  GEOMAP_CHECK_MSG(!(is >> extra), "trailing content after comm matrix text");
   return b.build();
 }
 

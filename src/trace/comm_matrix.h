@@ -7,7 +7,8 @@
 // 8192 in the scale experiments, so a dense N×N double matrix (0.5 GB)
 // is the wrong representation. CommMatrix stores both matrices in one CSR
 // structure: CG and AG share their sparsity pattern because every message
-// contributes to both.
+// contributes to both. Three views of it are kept — out-edges, in-edges
+// and the undirected sum — all built in O(nnz + N) by Builder::build().
 
 #include <cstdint>
 #include <span>
@@ -42,13 +43,15 @@ class CommMatrix {
     int num_processes() const { return n_; }
 
     /// Freeze into an immutable CommMatrix. The builder is left empty.
+    /// O(E + N) time for E recorded messages: counting passes over the
+    /// dense process ids bucket the messages stably by dst, then by src,
+    /// so repeated (src, dst) pairs coalesce by summing their volumes and
+    /// counts in the order add_message recorded them.
     CommMatrix build();
 
    private:
     int n_ = 0;
-    // Edge list keyed by (src, dst), coalesced at build() time. An edge
-    // list beats a hash map here: traces append in loops with heavy
-    // locality, and the final sort is one O(E log E) pass.
+    // Messages in recording order, coalesced at build() time.
     std::vector<CommEdge> edges_;
   };
 
@@ -85,8 +88,8 @@ class CommMatrix {
   std::vector<CommEdge> edges() const;
 
   /// The undirected view i<->j used by greedy affinity updates: for each i,
-  /// neighbours j with combined weight volume(i,j)+volume(j,i) and count
-  /// likewise. Built lazily at construction.
+  /// neighbours j (ascending) with combined weight volume(i,j)+volume(j,i)
+  /// and count likewise. Built by build(), alongside the other two views.
   Row undirected_row(ProcessId i) const;
 
   /// Resident bytes of the three CSR views (directed, transposed,
@@ -106,16 +109,23 @@ class CommMatrix {
     return offsets + ids + weights + traffic_.size() * sizeof(Bytes);
   }
 
-  /// Serialize as "src dst volume count" lines (plus a header).
+  /// Serialize as "src dst volume count" lines after a
+  /// "commmatrix <N> <nnz>" header.
   std::string to_text() const;
+
+  /// Parse to_text() output. Throws geomap::Error on any malformed input:
+  /// an unreadable header, N outside [1, kMaxTextProcesses] (checked
+  /// before anything is allocated, since the CSR offsets alone take
+  /// O(N) memory), a truncated or out-of-range record, or trailing
+  /// non-whitespace after the nnz records.
   static CommMatrix from_text(const std::string& text);
+
+  /// Largest N from_text accepts: 2^22 processes, 32x the 2^17-process
+  /// pattern of the map_large_n benchmark workload.
+  static constexpr int kMaxTextProcesses = 1 << 22;
 
  private:
   friend class Builder;
-
-  void finalize(int n, std::vector<CommEdge> sorted_unique);
-  void build_transpose(const std::vector<CommEdge>& edges_by_src);
-  void build_undirected();
 
   int n_ = 0;
   // Directed CSR.

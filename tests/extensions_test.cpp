@@ -149,9 +149,9 @@ INSTANTIATE_TEST_SUITE_P(
     Mappers, AllowedSitesMappers,
     ::testing::Combine(::testing::ValuesIn(kAllowedCases),
                        ::testing::Values(11, 22, 33)),
-    [](const ::testing::TestParamInfo<AllowedSitesMappers::ParamType>& info) {
-      return std::get<0>(info.param).name + "_seed" +
-             std::to_string(std::get<1>(info.param));
+    [](const ::testing::TestParamInfo<AllowedSitesMappers::ParamType>& test) {
+      return std::get<0>(test.param).name + "_seed" +
+             std::to_string(std::get<1>(test.param));
     });
 
 TEST(AllowedSites, TightInstanceForcesUniquePlacement) {

@@ -195,9 +195,13 @@ TEST(ExtraPatterns, MgHasHubTrafficToRankZero) {
 TEST(ExtraPatterns, FtIsDenseAllPairs) {
   const App& ft = app_by_name("FT");
   const trace::CommMatrix m = ft.synthetic_pattern(16, ft.default_config(16));
-  for (ProcessId i = 0; i < 16; ++i)
-    for (ProcessId j = 0; j < 16; ++j)
-      if (i != j) EXPECT_GT(m.volume(i, j), 0.0) << i << "->" << j;
+  for (ProcessId i = 0; i < 16; ++i) {
+    for (ProcessId j = 0; j < 16; ++j) {
+      if (i != j) {
+        EXPECT_GT(m.volume(i, j), 0.0) << i << "->" << j;
+      }
+    }
+  }
 }
 
 TEST(ExtraPatterns, ProfiledVolumeMatchesSyntheticApproximately) {

@@ -6,7 +6,10 @@
 
 #include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "apps/app.h"
 #include "common/error.h"
 #include "mapping/cost.h"
 #include "mapping/exhaustive_mapper.h"
@@ -148,44 +151,78 @@ TEST(Cost, MatchesDenseReference) {
   EXPECT_NEAR(eval.total_cost(mapping), expected, expected * 1e-12);
 }
 
+/// Inputs of the recompute properties below: a 16-process random problem,
+/// plus LU and K-means patterns at N = 4096 on the 4-region AWS cloud, so
+/// the incremental updates read the transpose (in_row) at scale.
+std::vector<MappingProblem> recompute_problems(std::uint64_t seed) {
+  std::vector<MappingProblem> problems;
+  problems.push_back(random_problem(16, 0.0, seed));
+  const int n = 4096;
+  const net::CloudTopology topo(net::aws_experiment_profile(n / 4));
+  for (const char* name : {"LU", "K-means"}) {
+    const apps::App& app = apps::app_by_name(name);
+    MappingProblem p;
+    p.comm = app.synthetic_pattern(n, app.default_config(n));
+    p.network = net::NetworkModel::from_ground_truth(topo);
+    p.capacities = topo.capacities();
+    p.site_coords = topo.coordinates();
+    p.validate();
+    problems.push_back(std::move(p));
+  }
+  return problems;
+}
+
 // Property: delta_move equals recomputing the full cost, across many
-// random moves.
+// random moves, and so does the change in the moved process's
+// incident_cost; every edge is incident to two processes.
 TEST(Cost, DeltaMoveMatchesRecompute) {
-  const MappingProblem p = random_problem(16, 0.0, 7);
-  const CostEvaluator eval(p);
-  Rng rng(23);
-  // Use slack so arbitrary moves stay feasible in principle (the cost
-  // function itself is capacity-agnostic).
-  Mapping mapping = RandomMapper::draw(p, rng);
-  for (int trial = 0; trial < 60; ++trial) {
-    const auto i = static_cast<ProcessId>(rng.uniform_index(16));
-    const auto to = static_cast<SiteId>(rng.uniform_index(4));
-    const double before = eval.total_cost(mapping);
-    const double delta = eval.delta_move(mapping, i, to);
-    Mapping moved = mapping;
-    moved[static_cast<std::size_t>(i)] = to;
-    EXPECT_NEAR(before + delta, eval.total_cost(moved), before * 1e-10);
-    mapping = moved;
+  for (const MappingProblem& p : recompute_problems(7)) {
+    const int n = p.num_processes();
+    SCOPED_TRACE("N=" + std::to_string(n));
+    const CostEvaluator eval(p);
+    Rng rng(23);
+    // The cost function is capacity-agnostic, so arbitrary moves are fine.
+    Mapping mapping = RandomMapper::draw(p, rng);
+    double before = eval.total_cost(mapping);
+    for (int trial = 0; trial < 60; ++trial) {
+      const auto i = static_cast<ProcessId>(rng.uniform_index(n));
+      const auto to = static_cast<SiteId>(rng.uniform_index(p.num_sites()));
+      const double delta = eval.delta_move(mapping, i, to);
+      Mapping moved = mapping;
+      moved[static_cast<std::size_t>(i)] = to;
+      const double after = eval.total_cost(moved);
+      EXPECT_NEAR(before + delta, after, before * 1e-10);
+      EXPECT_NEAR(eval.incident_cost(moved, i) - eval.incident_cost(mapping, i),
+                  delta, before * 1e-10);
+      mapping = moved;
+      before = after;
+    }
+    double incident = 0;
+    for (ProcessId i = 0; i < n; ++i) incident += eval.incident_cost(mapping, i);
+    EXPECT_NEAR(incident, 2 * before, before * 1e-10);
   }
 }
 
 TEST(Cost, DeltaSwapMatchesRecomputeAndRestores) {
-  const MappingProblem p = random_problem(16, 0.0, 9);
-  const CostEvaluator eval(p);
-  Rng rng(29);
-  Mapping mapping = RandomMapper::draw(p, rng);
-  const Mapping snapshot = mapping;
-  for (int trial = 0; trial < 60; ++trial) {
-    const auto a = static_cast<ProcessId>(rng.uniform_index(16));
-    const auto b = static_cast<ProcessId>(rng.uniform_index(16));
-    if (a == b) continue;
+  for (const MappingProblem& p : recompute_problems(9)) {
+    const int n = p.num_processes();
+    SCOPED_TRACE("N=" + std::to_string(n));
+    const CostEvaluator eval(p);
+    Rng rng(29);
+    Mapping mapping = RandomMapper::draw(p, rng);
+    const Mapping snapshot = mapping;
     const double before = eval.total_cost(mapping);
-    const double delta = eval.delta_swap(mapping, a, b);
-    EXPECT_EQ(mapping, snapshot) << "delta_swap must restore the mapping";
-    Mapping swapped = mapping;
-    std::swap(swapped[static_cast<std::size_t>(a)],
-              swapped[static_cast<std::size_t>(b)]);
-    EXPECT_NEAR(before + delta, eval.total_cost(swapped), before * 1e-10);
+    for (int trial = 0; trial < 60; ++trial) {
+      const auto a = static_cast<ProcessId>(rng.uniform_index(n));
+      const auto b = static_cast<ProcessId>(rng.uniform_index(n));
+      if (a == b) continue;
+      const double delta = eval.delta_swap(mapping, a, b);
+      EXPECT_EQ(mapping, snapshot) << "delta_swap must restore the mapping";
+      Mapping swapped = mapping;
+      std::swap(swapped[static_cast<std::size_t>(a)],
+                swapped[static_cast<std::size_t>(b)]);
+      EXPECT_NEAR(before + delta, eval.total_cost(swapped), before * 1e-10);
+    }
   }
 }
 
@@ -274,9 +311,9 @@ INSTANTIATE_TEST_SUITE_P(
     Mappers, AllMappersTest,
     ::testing::Combine(::testing::ValuesIn(kMapperCases),
                        ::testing::Values(101, 202, 303)),
-    [](const ::testing::TestParamInfo<AllMappersTest::ParamType>& info) {
-      return std::get<0>(info.param).name + "_seed" +
-             std::to_string(std::get<1>(info.param));
+    [](const ::testing::TestParamInfo<AllMappersTest::ParamType>& test) {
+      return std::get<0>(test.param).name + "_seed" +
+             std::to_string(std::get<1>(test.param));
     });
 
 TEST(Exhaustive, FindsKnownOptimum) {

@@ -114,11 +114,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(kMappers),
                        ::testing::Values("BT", "SP", "LU", "K-means", "DNN",
                                          "CG", "MG", "FT")),
-    [](const ::testing::TestParamInfo<MapperAppMatrix::ParamType>& info) {
-      std::string app = std::get<1>(info.param);
+    [](const ::testing::TestParamInfo<MapperAppMatrix::ParamType>& test) {
+      std::string app = std::get<1>(test.param);
       for (auto& ch : app)
         if (ch == '-') ch = '_';
-      return std::get<0>(info.param).name + "_" + app;
+      return std::get<0>(test.param).name + "_" + app;
     });
 
 class MapperDeploymentMatrix
@@ -157,9 +157,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(kMappers),
                        ::testing::Range(0, 4)),
     [](const ::testing::TestParamInfo<MapperDeploymentMatrix::ParamType>&
-           info) {
-      return std::get<0>(info.param).name + "_" +
-             kDeployments[static_cast<std::size_t>(std::get<1>(info.param))]
+           test) {
+      return std::get<0>(test.param).name + "_" +
+             kDeployments[static_cast<std::size_t>(std::get<1>(test.param))]
                  .name;
     });
 

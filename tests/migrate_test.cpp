@@ -211,7 +211,9 @@ TEST(MigrateExecutorTest, WatchReplansWhenACommittedSiteDies) {
   // Relocations off a dead source fetch state from a surviving replica,
   // never from the dead site itself.
   for (const fault::MigrationEvent& e : report.events) {
-    if (e.kind == fault::MigrationEventKind::kChunk) EXPECT_NE(e.site_from, 0);
+    if (e.kind == fault::MigrationEventKind::kChunk) {
+      EXPECT_NE(e.site_from, 0);
+    }
   }
   EXPECT_TRUE(certify(report, kCurrent, problem, plan, options).empty());
 }

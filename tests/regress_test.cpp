@@ -209,7 +209,9 @@ TEST(Regress, HigherIsBetterPatternsFailOnDecrease) {
         EXPECT_TRUE(row.watched);
         EXPECT_TRUE(row.regressed);
       }
-      if (row.key == "detection.recall") EXPECT_FALSE(row.regressed);
+      if (row.key == "detection.recall") {
+        EXPECT_FALSE(row.regressed);
+      }
     }
     EXPECT_TRUE(found);
   }

@@ -107,7 +107,9 @@ TEST(CommMatrix, RandomizedCsrInvariants) {
   for (ProcessId i = 0; i < 50; ++i) {
     const CommMatrix::Row row = m.row(i);
     for (std::size_t k = 0; k < row.size(); ++k) {
-      if (k > 0) EXPECT_LT(row.dst[k - 1], row.dst[k]);
+      if (k > 0) {
+        EXPECT_LT(row.dst[k - 1], row.dst[k]);
+      }
       EXPECT_GT(row.volume[k], 0);
       row_total += row.volume[k];
     }
