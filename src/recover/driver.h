@@ -1,24 +1,28 @@
 #pragma once
-// Crash-consistent soak driver: the multi-tenant soak case rebuilt on
-// top of the control-plane WAL, plus the exhaustive crash-matrix soak.
+// Crash-consistent soak driver: the multi-tenant soak case with the
+// control-plane WAL attached, plus the exhaustive crash-matrix soak.
 //
 // run_recoverable_case runs one observe → detect → storm → certify case
-// (mirroring tenancy::run_multitenant_soak_case stage for stage) with
+// — tenancy::run_soak_case, the same stages the plain soak runs — with
 // every control-plane decision written ahead to a WAL in `wal_dir`.
-// When the directory already holds a crashed run's log the case
+// The driver itself only reads and replays the WAL, attaches it to the
+// case, checks the redone grant's journal, seals the run and audits the
+// log. When the directory already holds a crashed run's log the case
 // *resumes* instead of restarting:
 //
-//   * the WAL is replayed (recover::replay_wal), the sanitized history
-//     seeds a new WAL generation behind a recovery_begin marker, and the
-//     already-announced events are re-emitted into the fresh event log;
+//   * the WAL is replayed (recover::replay_wal); the case checks the
+//     run identity, seeds a new WAL generation with the sanitized
+//     history behind a recovery_begin marker, and re-emits the
+//     already-announced events into the fresh event log;
 //   * the detector is restored from the latest snapshot's checkpoint and
 //     re-fed from its sample watermark (pre-decision crashes) or skipped
-//     entirely in favour of the durable decision record (post-decision);
-//   * the storm continues via tenancy::StormResume: finished grants are
-//     replayed into the ledgers, an interrupted grant is redone
-//     idempotently from its recorded decision inputs, and the redone
-//     journal is checked to extend the durable prefix field-for-field
-//     (no double commit, no lost grant);
+//     entirely, observation replay included, in favour of the durable
+//     decision record (post-decision);
+//   * the storm continues via tenancy::build_storm_resume: finished
+//     grants are replayed into the ledgers, an interrupted grant is
+//     redone idempotently from its recorded decision inputs, and the
+//     driver checks that the redone journal extends the durable prefix
+//     field-for-field (no double commit, no lost grant);
 //   * everything deterministic (substrate, calibration, chaos plan,
 //     telemetry) is recomputed from the seed, so the resumed case's
 //     final events / incidents / fairness match the uninterrupted run's.
@@ -85,18 +89,6 @@ struct RecoverableCaseResult {
 
 RecoverableCaseResult run_recoverable_case(std::uint64_t seed,
                                            const RecoverableSoakOptions& options);
-
-/// Shape a replayed control plane into tenancy::run_remap_storm's resume
-/// input: per-request queue state (attempts consumed, pending backoff
-/// timers — a timer pending at the crash fires exactly once after
-/// recovery), finished grants in WAL order with rebuilt reports, and the
-/// interrupted grant's recorded decision inputs. `requests` must be the
-/// deterministically recomputed request list; the WAL's durable
-/// sched_request records are validated to be a prefix of it by the
-/// caller.
-tenancy::StormResume build_storm_resume(
-    const RecoveredControlPlane& rcp,
-    const std::vector<tenancy::RemapRequest>& requests);
 
 struct CrashMatrixOptions {
   /// Per-attempt `soak.collector` is overridden with a fresh collector;

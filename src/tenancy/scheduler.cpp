@@ -149,25 +149,28 @@ StormReport run_remap_storm(Substrate& substrate, const fault::FaultPlan& plan,
       options.collector != nullptr ? &options.collector->timeline() : nullptr;
   obs::EventLog* elog =
       options.collector != nullptr ? &options.collector->events() : nullptr;
-  if (options.wal != nullptr && resume == nullptr) {
-    for (const PendingRequest& p : pending) {
+  // Requests a crashed predecessor already made durable are neither
+  // logged nor announced again: recovery re-emits their queue events from
+  // the sched_request records, in the original order.
+  const std::size_t durable =
+      resume != nullptr ? resume->durable_requests : 0;
+  if (options.wal != nullptr && durable < pending.size()) {
+    for (std::size_t i = durable; i < pending.size(); ++i) {
       recover::SchedRequestRecord r;
-      r.tenant = p.request.tenant;
-      r.request_time = p.request.request_time;
-      r.severity = p.request.severity;
+      r.tenant = pending[i].request.tenant;
+      r.request_time = pending[i].request.request_time;
+      r.severity = pending[i].request.severity;
       options.wal->append(recover::WalRecordType::kSchedRequest,
                           r.request_time, recover::encode_sched_request(r));
     }
     options.wal->sync();
   }
-  // A resumed storm emits no queue events: recovery re-emits them from
-  // the durable sched_request records, in the original order.
-  if (elog != nullptr && resume == nullptr) {
-    for (const PendingRequest& p : pending) {
-      elog->emit(p.request.request_time, obs::EventSeverity::kInfo, "scheduler",
-                 "queue",
-                 {obs::field("tenant", p.request.tenant),
-                  obs::field("severity", p.request.severity)});
+  if (elog != nullptr) {
+    for (std::size_t i = durable; i < pending.size(); ++i) {
+      elog->emit(pending[i].request.request_time, obs::EventSeverity::kInfo,
+                 "scheduler", "queue",
+                 {obs::field("tenant", pending[i].request.tenant),
+                  obs::field("severity", pending[i].request.severity)});
     }
   }
 

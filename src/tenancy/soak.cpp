@@ -1,15 +1,21 @@
 #include "tenancy/soak.h"
 
 #include <algorithm>
+#include <sstream>
 #include <string>
 
 #include "common/error.h"
+#include "common/json_writer.h"
+#include "common/timer.h"
 #include "core/remap.h"
 #include "fault/attribution.h"
 #include "fault/degraded_network.h"
 #include "fault/fault_plan.h"
 #include "obs/collector.h"
 #include "obs/detector.h"
+#include "recover/records.h"
+#include "recover/recovery.h"
+#include "recover/wal.h"
 #include "sim/netsim.h"
 
 namespace geomap::tenancy {
@@ -37,23 +43,165 @@ std::vector<sim::TenantFlow> flows_of(const Substrate& substrate) {
 
 }  // namespace
 
+StormResume build_storm_resume(const recover::RecoveredControlPlane& rcp,
+                               const std::vector<RemapRequest>& requests) {
+  GEOMAP_CHECK_ARG(rcp.requests.size() <= requests.size(),
+                   "WAL holds " << rcp.requests.size()
+                                << " remap requests, the recomputed case "
+                                << "produces only " << requests.size());
+  for (std::size_t i = 0; i < rcp.requests.size(); ++i) {
+    GEOMAP_CHECK_ARG(rcp.requests[i].tenant == requests[i].tenant,
+                     "WAL request " << i << " names tenant "
+                                    << rcp.requests[i].tenant
+                                    << ", recomputed case expects "
+                                    << requests[i].tenant);
+  }
+  StormResume sr;
+  sr.durable_requests = rcp.requests.size();
+  Seconds last = 0;
+  sr.pending.reserve(requests.size());
+  for (const RemapRequest& r : requests) {
+    ResumePending rp;
+    rp.tenant = r.tenant;
+    rp.next_eligible = r.request_time;
+    sr.pending.push_back(rp);
+    last = std::max(last, r.request_time);
+  }
+  const auto pending_of = [&sr](int tenant) -> ResumePending& {
+    for (ResumePending& p : sr.pending) {
+      if (p.tenant == tenant) return p;
+    }
+    GEOMAP_CHECK_ARG(false, "WAL names tenant " << tenant
+                                                << " that filed no request");
+    return sr.pending.front();  // unreachable
+  };
+  // A requeue both counts and re-arms the backoff timer: the pending
+  // timer fires exactly once after recovery, at the recorded instant.
+  for (const recover::SchedRequeueRecord& rq : rcp.requeues) {
+    ResumePending& p = pending_of(rq.tenant);
+    p.attempts = rq.attempts;
+    p.next_eligible = rq.next_eligible;
+    last = std::max(last, rq.t);
+  }
+  for (const recover::SchedGiveUpRecord& gu : rcp.give_ups) {
+    ResumePending& p = pending_of(gu.tenant);
+    p.attempts = gu.attempts;
+    p.done = true;
+    p.gave_up = true;
+    last = std::max(last, gu.t);
+  }
+  for (const recover::RecoveredGrant& g : rcp.grants) {
+    last = std::max(last, g.grant.granted_at);
+    if (g.finished) {
+      ResumePending& p = pending_of(g.grant.tenant);
+      p.attempts = g.grant.attempts;
+      p.done = true;
+      ResumeFinished rf;
+      rf.tenant = g.grant.tenant;
+      rf.granted_at = g.grant.granted_at;
+      rf.attempts = g.grant.attempts;
+      rf.at_grant = g.grant.current;
+      rf.report = recover::rebuild_migration_report(
+          g.migs, g.grant.current, g.grant.target, g.grant.granted_at,
+          g.finish.finish_time);
+      // The finish record is authoritative where the journal alone is
+      // lossy (idle grants, rounding).
+      rf.report.migration_seconds = g.finish.migration_seconds;
+      rf.report.final_mapping = g.finish.final_mapping;
+      sr.finished.push_back(std::move(rf));
+      last = std::max(last, g.finish.finish_time);
+    } else if (!g.requeued) {
+      ResumeInterrupted& ri = sr.interrupted;
+      ri.active = true;
+      ri.tenant = g.grant.tenant;
+      ri.granted_at = g.grant.granted_at;
+      ri.attempts = g.grant.attempts;
+      ri.at_grant = g.grant.current;
+      ri.target = g.grant.target;
+      ri.view_capacities.clear();
+      ri.view_capacities.reserve(g.grant.view_capacities.size());
+      for (const double v : g.grant.view_capacities) {
+        ri.view_capacities.push_back(static_cast<int>(v));
+      }
+      ResumePending& p = pending_of(g.grant.tenant);
+      p.attempts = g.grant.attempts;
+    }
+  }
+  sr.requeues = static_cast<int>(rcp.requeues.size());
+  sr.gave_up = static_cast<int>(rcp.give_ups.size());
+  sr.last_activity = last;
+  return sr;
+}
+
 MultiTenantSoakCase run_multitenant_soak_case(
     std::uint64_t seed, const MultiTenantSoakOptions& options) {
+  return run_soak_case(seed, options, SoakCaseWal{}).soak_case;
+}
+
+SoakCaseRun run_soak_case(std::uint64_t seed,
+                          const MultiTenantSoakOptions& options,
+                          const SoakCaseWal& log) {
   options.validate();
-  MultiTenantSoakCase result;
+  recover::Wal* const wal = log.wal;
+  const recover::RecoveredControlPlane* const rcp = log.resume;
+  GEOMAP_CHECK_ARG(wal == nullptr || options.collector != nullptr,
+                   "a WAL-backed soak case requires a collector");
+  GEOMAP_CHECK_ARG(rcp == nullptr || wal != nullptr,
+                   "resuming a soak case requires its WAL");
+  SoakCaseRun run;
+  MultiTenantSoakCase& result = run.soak_case;
   result.seed = seed;
   obs::EventLog* elog =
       options.collector != nullptr ? &options.collector->events() : nullptr;
   const std::uint64_t seq0 = elog != nullptr ? elog->total() : 0;
 
-  // 1. Substrate + solo baselines.
+  // 1. Substrate + solo baselines, then the log generation opens.
   Substrate substrate = make_substrate(seed, options.substrate);
   result.tenants = substrate.num_tenants();
+  const std::string policy = to_string(options.scheduler.policy);
+  const Timer open_timer;
+  if (rcp != nullptr) {
+    // Same run, new generation: seed the sanitized past so this
+    // generation's snapshots keep folding it, and mark the boundary.
+    GEOMAP_CHECK_ARG(
+        rcp->run.seed == seed && rcp->run.tenants == substrate.num_tenants() &&
+            rcp->run.sites == substrate.num_sites() &&
+            rcp->run.policy == policy,
+        "WAL at " << wal->dir() << " belongs to a different run (seed "
+                  << rcp->run.seed << ", " << rcp->run.tenants
+                  << " tenants, " << rcp->run.sites << " sites, policy "
+                  << rcp->run.policy << ")");
+    wal->seed_history(rcp->effective);
+    std::ostringstream os;
+    {
+      JsonWriter w(os, /*pretty=*/false);
+      w.begin_object();
+      w.field("generation", rcp->recoveries + 1);
+      w.field("replayed", static_cast<std::uint64_t>(log.replayed));
+      w.end_object();
+    }
+    wal->append(recover::WalRecordType::kRecoveryBegin, 0, os.str());
+    wal->sync();
+  } else if (wal != nullptr) {
+    recover::RunBeginRecord rb;
+    rb.seed = seed;
+    rb.tenants = substrate.num_tenants();
+    rb.sites = substrate.num_sites();
+    rb.policy = policy;
+    wal->append(recover::WalRecordType::kRunBegin, 0,
+                recover::encode_run_begin(rb));
+    wal->sync();
+  }
+  // case_start first, THEN the re-emitted history: incident building
+  // segments the stream at case_start markers, so a recovered stream
+  // must keep the live stream's order (case_start leads).
   if (elog != nullptr) {
     elog->emit(0, obs::EventSeverity::kInfo, "soak", "case_start",
                {obs::field("seed", seed),
                 obs::field("tenants", result.tenants)});
   }
+  if (rcp != nullptr) recover::reemit_events(*rcp, *elog);
+  run.open_seconds = open_timer.elapsed_seconds();
   const net::NetworkModel& network = substrate.tenants.front().problem.network;
 
   // 2. Healthy shared replay calibrates the horizon.
@@ -77,40 +225,98 @@ MultiTenantSoakCase run_multitenant_soak_case(
   result.outage_time = chaos_plan.primary_outage_time;
   const fault::DegradedNetworkModel degraded(network, chaos_plan.plan);
 
-  // 3. Observation run under fire, telemetry on. Force-through keeps the
-  //    replay terminating with the primary permanently dead and records
-  //    the link.timeout signals the detector keys on.
+  // 3–4. Observe under fire, then detect once on the shared timeline;
+  //      every affected tenant reuses the same suspect. Fall back to the
+  //      oracle when detection saw nothing or accused the wrong site —
+  //      the storm must run either way. A run resumed after the decision
+  //      adopts the durable one instead: the storm already acted on it,
+  //      and re-deciding could only disagree.
   obs::Collector telemetry;
-  sim::MultiTenantReplayOptions observe;
-  observe.rounds = options.app_rounds;
-  observe.collector = &telemetry;
-  sim::replay_multitenant(flows_of(substrate), degraded, observe);
+  recover::DetectDecisionRecord decision;
+  if (rcp != nullptr && rcp->has_decision) {
+    decision = rcp->decision;
+  } else {
+    // Force-through keeps the replay terminating with the primary
+    // permanently dead and records the link.timeout signals the detector
+    // keys on. The replay is deterministic, so a resumed detector is
+    // re-fed the very sample stream its predecessor saw.
+    sim::MultiTenantReplayOptions observe;
+    observe.rounds = options.app_rounds;
+    observe.collector = &telemetry;
+    sim::replay_multitenant(flows_of(substrate), degraded, observe);
+    const std::vector<obs::LinkSample> samples =
+        obs::collect_link_samples(telemetry.timeline());
 
-  // 4. Detect once on the shared timeline; every affected tenant reuses
-  //    the same suspect. Fall back to the oracle when detection saw
-  //    nothing or accused the wrong site — the storm must run either way.
-  obs::DegradationDetector detector;
-  detector.set_event_log(elog);
-  detector.scan(telemetry.timeline());
-  const core::SuspectVote vote = core::vote_suspected_site(detector.events());
-  result.detected = vote.site != -1;
-  result.suspected_correct = vote.site == chaos_plan.primary_site;
-  const bool usable = result.detected && result.suspected_correct;
-  result.detect_time =
-      usable ? vote.detection_time : chaos_plan.primary_outage_time;
-  const SiteId failed = chaos_plan.primary_site;
-  if (elog != nullptr) {
-    elog->emit(result.detect_time,
-               result.suspected_correct ? obs::EventSeverity::kInfo
-                                        : obs::EventSeverity::kWarn,
-               "soak", "detect",
-               {obs::field("detected", result.detected),
-                obs::field("suspected_correct", result.suspected_correct),
-                obs::field("suspect", vote.site),
-                obs::field("failed_site", failed),
-                obs::field("outage_time", chaos_plan.primary_outage_time)});
+    obs::DegradationDetector detector;
+    std::size_t start = 0;
+    if (rcp != nullptr) {
+      if (rcp->has_detector) detector.restore(rcp->detector);
+      GEOMAP_CHECK_ARG(rcp->watermark <= samples.size(),
+                       "WAL snapshot watermark " << rcp->watermark
+                                                 << " exceeds the recomputed "
+                                                 << samples.size()
+                                                 << "-sample stream");
+      start = rcp->watermark;
+    }
+    detector.set_event_log(elog);
+    detector.set_wal(wal);
+    const std::size_t every =
+        wal != nullptr && log.snapshot_every_samples > 0
+            ? static_cast<std::size_t>(log.snapshot_every_samples)
+            : 0;
+    for (std::size_t i = start; i < samples.size(); ++i) {
+      obs::feed_sample(detector, samples[i]);
+      if (every > 0 && (i + 1) % every == 0 && i + 1 < samples.size()) {
+        recover::SnapshotStateRecord state;
+        state.watermark = i + 1;
+        state.has_detector = true;
+        state.detector = detector.checkpoint();
+        wal->snapshot(samples[i].t, recover::encode_snapshot_state(state));
+      }
+    }
+    const core::SuspectVote vote =
+        core::vote_suspected_site(detector.events());
+    decision.detected = vote.site != -1;
+    decision.suspected_correct = vote.site == chaos_plan.primary_site;
+    decision.suspect = vote.site;
+    decision.failed_site = chaos_plan.primary_site;
+    decision.outage_time = chaos_plan.primary_outage_time;
+    const bool usable = decision.detected && decision.suspected_correct;
+    decision.detect_time =
+        usable ? vote.detection_time : chaos_plan.primary_outage_time;
+    // Decision durable before anyone acts on it, then announced, then a
+    // snapshot closes the detector phase (recovery after this point
+    // never re-feeds the detector).
+    if (wal != nullptr) {
+      wal->append(recover::WalRecordType::kDetectDecision,
+                  decision.detect_time,
+                  recover::encode_detect_decision(decision));
+      wal->sync();
+    }
+    if (elog != nullptr) {
+      elog->emit(decision.detect_time,
+                 decision.suspected_correct ? obs::EventSeverity::kInfo
+                                            : obs::EventSeverity::kWarn,
+                 "soak", "detect",
+                 {obs::field("detected", decision.detected),
+                  obs::field("suspected_correct", decision.suspected_correct),
+                  obs::field("suspect", decision.suspect),
+                  obs::field("failed_site", decision.failed_site),
+                  obs::field("outage_time", decision.outage_time)});
+    }
+    if (wal != nullptr) {
+      recover::SnapshotStateRecord state;
+      state.watermark = samples.size();
+      state.has_detector = true;
+      state.detector = detector.checkpoint();
+      wal->snapshot(decision.detect_time,
+                    recover::encode_snapshot_state(state));
+    }
   }
-
+  result.detected = decision.detected;
+  result.suspected_correct = decision.suspected_correct;
+  result.detect_time = decision.detect_time;
+  const SiteId failed = chaos_plan.primary_site;
   // 5. Every tenant homed on the dead site queues a remap request.
   std::vector<RemapRequest> requests;
   for (const Tenant& t : substrate.tenants) {
@@ -136,6 +342,7 @@ MultiTenantSoakCase run_multitenant_soak_case(
     sched.collector =
         options.collector != nullptr ? options.collector : &telemetry;
   }
+  if (wal != nullptr) sched.wal = wal;
 
   // At-grant placements feed the checkers: one storm, so every tenant's
   // journal starts from its substrate placement.
@@ -143,8 +350,10 @@ MultiTenantSoakCase run_multitenant_soak_case(
   initial.reserve(substrate.tenants.size());
   for (const Tenant& t : substrate.tenants) initial.push_back(t.mapping);
 
-  result.storm =
-      run_remap_storm(substrate, chaos_plan.plan, failed, requests, sched);
+  StormResume storm_resume;
+  if (rcp != nullptr) storm_resume = build_storm_resume(*rcp, requests);
+  result.storm = run_remap_storm(substrate, chaos_plan.plan, failed, requests,
+                                 sched, rcp != nullptr ? &storm_resume : nullptr);
 
   // 6. Certify every granted journal, then the merged cross-tenant view.
   fault::MigrationInvariantOptions inv;
@@ -192,6 +401,7 @@ MultiTenantSoakCase run_multitenant_soak_case(
   for (const TenantRecovery& rec : result.storm.recoveries) {
     if (rec.granted) recovery_end = std::max(recovery_end, rec.finish_time);
   }
+  run.recovery_end = recovery_end;
   sim::MultiTenantReplayOptions post;
   post.start_time = recovery_end;
   const sim::MultiTenantReplayResult shared =
@@ -253,7 +463,7 @@ MultiTenantSoakCase run_multitenant_soak_case(
     options.collector->incidents().add(result.incidents);
     options.collector->incidents().add_totals(result.attribution);
   }
-  return result;
+  return run;
 }
 
 MultiTenantSoakReport run_multitenant_soak(
