@@ -1,7 +1,7 @@
 #include "core/geodist_mapper.h"
 
 #include <algorithm>
-#include <atomic>
+#include <mutex>
 #include <numeric>
 #include <queue>
 
@@ -554,8 +554,12 @@ Mapping GeoDistMapper::map(const MappingProblem& problem) {
   // Coarse progress heartbeat for long order searches: at most ~32
   // stride-sampled updates, each a monotone gauge write (set_max keeps
   // the final exported value deterministic under parallel evaluation)
-  // plus a timeline point for the obsctl progress lane.
-  std::atomic<std::int64_t> orders_done{0};
+  // plus a timeline point for the obsctl progress lane. An evaluation
+  // counts itself and stamps its point under one lock, so the stamps
+  // rise with the count and the lane ends at 1.0 whichever worker
+  // finishes last.
+  std::mutex progress_mutex;
+  std::int64_t orders_done = 0;
   const std::int64_t heartbeat_stride =
       num_orders > 32 ? num_orders / 32 : 1;
 
@@ -592,8 +596,8 @@ Mapping GeoDistMapper::map(const MappingProblem& problem) {
       costs[idx] = eval.total_cost(mapped);
     }
     search_phase.count("cost_evals");
-    const std::int64_t done =
-        orders_done.fetch_add(1, std::memory_order_relaxed) + 1;
+    std::lock_guard<std::mutex> lock(progress_mutex);
+    const std::int64_t done = ++orders_done;
     if (done % heartbeat_stride == 0 || done == num_orders) {
       const double frac =
           static_cast<double>(done) / static_cast<double>(num_orders);
