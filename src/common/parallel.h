@@ -2,9 +2,10 @@
 // Shared-memory parallel primitives.
 //
 // geomap parallelizes embarrassingly-parallel inner loops — the κ! group
-// order search, Monte Carlo sampling, and batched cost evaluation — over a
-// lazily created pool of std::jthread workers. On a single-core host the
-// pool degenerates to serial execution with no thread overhead.
+// order search, Monte Carlo sampling, and batched cost evaluation. Each
+// call starts its workers as fresh std::threads, works on the calling
+// thread too, and joins them before it returns. With one worker, or a
+// single index, it runs on the caller without starting a thread.
 
 #include <cstddef>
 #include <functional>

@@ -11,12 +11,25 @@
 //        communication to the processes already in that site, to capacity;
 //   4. keep the order with the minimum COST(P^θ).
 //
-// Complexity O(κ! · N²) with the paper's naive fill; this implementation
-// also provides a heap-accelerated fill (lazy-deletion max-heap over
-// sparse affinity updates; each of the M site fills seeds its heap with
-// every unselected process, so O(M·N log N + nnz log N) per order) that
-// produces identical mappings — a property the test suite asserts — plus
-// parallel evaluation of the κ! orders.
+// Complexity O(κ! · N²) with the paper's naive fill. This implementation
+// builds what no order changes once per call (the constrained partial
+// mapping, the traffic order of the seed picks, each site's pinned
+// processes, each group's site order) and adds a heap fill: an indexed
+// max-heap over (affinity, lower id first) holds at most one entry per
+// process, raised in place by sparse affinity updates, and zero-affinity
+// picks come from a lowest-id cursor. A site fill costs O((k + e) log N)
+// for its k picks and the e edges of its members (pinned residents
+// included), plus cursor walks of at most O(N).
+//
+// The search walks the order tree depth first, in lexicographic order.
+// Orders that share a prefix share its fill, and an undo log takes it
+// back before the next sibling: Σ_{l=1..κ} κ!/(κ−l)! group fills (64 at
+// κ = 4, 1 956 at κ = 6) instead of κ·κ!, plus an O(nnz) evaluation per
+// order. Parallel tasks are the prefixes at the depth d that minimizes
+// ⌈P_d / W⌉ × (fills per task), P_d = κ!/(κ−d)! on W workers; each task
+// keeps the mapping of its first cheapest order, so the winner is not
+// filled again. The test suite asserts that the heap fill matches the
+// naive one and the search matches plain enumeration of every order.
 
 #include <cstdint>
 
@@ -61,7 +74,7 @@ struct GeoDistOptions {
   /// groups) is the variant the paper's pseudo-code spells out.
   bool hierarchical = false;
 
-  /// Evaluate group orders concurrently with parallel_for.
+  /// Search the order tree's subtrees concurrently with parallel_for.
   bool parallel_orders = true;
 
   /// Refuse order searches beyond this many permutations (8! guard).
@@ -97,7 +110,9 @@ class GeoDistMapper : public mapping::Mapper {
 };
 
 /// Fill a mapping for one specific group order. Exposed for tests and the
-/// ablation benches. `group_order` is a permutation of group indices.
+/// ablation benches. `group_order` lists group indices, each at most once
+/// (a permutation of them for a full fill); a repeated or out-of-range
+/// index throws.
 Mapping fill_for_order(const mapping::MappingProblem& problem,
                        const Grouping& grouping,
                        const std::vector<GroupId>& group_order,

@@ -5,16 +5,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <set>
+#include <string>
 
 #include "common/error.h"
+#include "common/parallel.h"
+#include "common/rng.h"
 #include "core/geodist_mapper.h"
 #include "core/grouping.h"
 #include "core/montecarlo.h"
 #include "core/pipeline.h"
 #include "mapping/cost.h"
 #include "mapping/random_mapper.h"
+#include "obs/collector.h"
 #include "test_util.h"
 
 namespace geomap::core {
@@ -70,14 +75,31 @@ TEST(Grouping, RejectsBadInput) {
   EXPECT_THROW(group_sites({{0, 0}}, 0), Error);
 }
 
+/// `p` with about 30 % of its messages carrying zero bytes: a zero-volume
+/// edge leaves an affinity at 0, and a process reached only through such
+/// edges must still lose ties to lower ids.
+mapping::MappingProblem with_zero_byte_messages(mapping::MappingProblem p,
+                                                std::uint64_t seed) {
+  Rng rng(seed);
+  trace::CommMatrix::Builder b(p.num_processes());
+  for (const trace::CommEdge& e : p.comm.edges())
+    b.add_message(e.src, e.dst, rng.uniform() < 0.3 ? 0.0 : e.volume,
+                  e.count);
+  p.comm = b.build();
+  p.validate();
+  return p;
+}
+
 // The central implementation property: the heap-accelerated fill engine
 // reproduces the paper's naive O(N^2) loop pick-for-pick.
 class FillEngineEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(FillEngineEquivalence, HeapMatchesNaiveExactly) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
-  for (const double ratio : {0.0, 0.3}) {
-    const mapping::MappingProblem p = random_problem(24, ratio, seed, 5);
+  const mapping::MappingProblem problems[] = {
+      random_problem(24, 0.0, seed, 5), random_problem(24, 0.3, seed, 5),
+      with_zero_byte_messages(random_problem(24, 0.3, seed, 5), seed)};
+  for (const mapping::MappingProblem& p : problems) {
     const Grouping g = group_sites(p.site_coords, 2);
     // Try every order of the groups.
     std::vector<GroupId> order(static_cast<std::size_t>(g.num_groups));
@@ -120,6 +142,229 @@ TEST(FillEngines, AgreeUnderAllowedSiteSets) {
       EXPECT_EQ(naive, heap) << "seed " << seed;
       EXPECT_NO_THROW(mapping::validate_mapping(p, naive));
     } while (std::next_permutation(order.begin(), order.end()));
+  }
+}
+
+/// Every pair of distinct sites 50 ms and 100 MB/s apart; within a site
+/// 0 s and 10 GB/s.
+net::NetworkModel uniform_network(std::size_t sites) {
+  Matrix lat = Matrix::square(sites);
+  Matrix bw = Matrix::square(sites);
+  for (std::size_t a = 0; a < sites; ++a)
+    for (std::size_t b = 0; b < sites; ++b) {
+      lat(a, b) = a == b ? 0.0 : 0.05;
+      bw(a, b) = a == b ? 1e10 : 1e8;
+    }
+  return net::NetworkModel(std::move(lat), std::move(bw));
+}
+
+// The heap fill reads a site's pinned residents from the fill plan; they
+// must add their affinities in id order, as the naive scan does, because
+// the rounding of a sum depends on the order of its terms. Process 3
+// borders residents 0, 1, 2 with 2^63, 2^10, 2^10 bytes: in id order the
+// small terms round away and 3 loses to process 4's 2^63 + 2^11; in any
+// other order they add up to 2^11 and 3 wins the tie on its lower id.
+TEST(FillEngines, PinnedResidentsAddAffinityInIdOrder) {
+  trace::CommMatrix::Builder builder(7);
+  builder.add_message(3, 0, std::ldexp(1.0, 63), 1);
+  builder.add_message(3, 1, std::ldexp(1.0, 10), 1);
+  builder.add_message(3, 2, std::ldexp(1.0, 10), 1);
+  builder.add_message(4, 0, std::ldexp(1.0, 63) + std::ldexp(1.0, 11), 1);
+  builder.add_message(5, 6, std::ldexp(1.0, 65), 1);  // site 0's seed pick
+  mapping::MappingProblem p;
+  p.comm = builder.build();
+  p.network = uniform_network(2);
+  p.capacities = {5, 4};
+  p.constraints = {0, 0, 0, kUnconstrained, kUnconstrained, kUnconstrained, 1};
+  p.validate();
+  const Grouping g = singleton_groups(2);
+  const Mapping naive =
+      fill_for_order(p, g, {0, 1}, GeoDistOptions::FillEngine::kNaive);
+  EXPECT_EQ(naive, (Mapping{0, 0, 0, 1, 0, 0, 1}));
+  EXPECT_EQ(fill_for_order(p, g, {0, 1}, GeoDistOptions::FillEngine::kHeap),
+            naive);
+}
+
+/// A problem over a synthetic world of `sites` sites for the search's
+/// differential test. Volumes are 1, 2 or 4 KiB or 2^63 or 2^64 bytes:
+/// affinities often tie, so the lower id must win, and the rounding of a
+/// sum depends on the order of its terms, so a site's residents must add
+/// their affinities in id order. About 30 % of the messages carry zero
+/// bytes. Pins, slack and allowed-site sets are optional (each set holds
+/// the site a random feasible mapping gave the process, so the
+/// constraints stay feasible). With `uniform` every pair of distinct
+/// sites has the same latency and bandwidth, so orders that place the
+/// same groups of processes on different sites tie in cost, and the
+/// first cheapest order must win.
+mapping::MappingProblem search_problem(int sites, int n, double pin_ratio,
+                                       int slack, bool allowed, bool uniform,
+                                       std::uint64_t seed) {
+  Rng rng(seed);
+  const net::CloudTopology topo(
+      net::synthetic_profile(sites, (n + sites - 1) / sites + slack, seed));
+  mapping::MappingProblem p;
+  const int exponents[] = {10, 11, 12, 63, 64};
+  trace::CommMatrix::Builder builder(n);
+  for (ProcessId i = 0; i < n; ++i)
+    for (int d = 0; d < 4; ++d)
+      builder.add_message(i, static_cast<ProcessId>(rng.uniform_index(n)),
+                          std::ldexp(1.0, exponents[rng.uniform_index(5)]),
+                          static_cast<double>(1 + rng.uniform_index(8)));
+  p.comm = builder.build();
+  p.network = uniform
+                  ? uniform_network(static_cast<std::size_t>(sites))
+                  : net::NetworkModel::from_ground_truth(topo);
+  p.capacities = topo.capacities();
+  p.site_coords = topo.coordinates();
+  if (pin_ratio > 0)
+    p.constraints =
+        mapping::make_random_constraints(n, p.capacities, pin_ratio, rng);
+  if (allowed) {
+    const Mapping feasible = mapping::RandomMapper::draw(p, rng);
+    p.allowed_sites.assign(static_cast<std::size_t>(n), {});
+    for (std::size_t i = 0; i < feasible.size(); ++i) {
+      if (!p.constraints.empty() && p.constraints[i] != kUnconstrained)
+        continue;
+      if (rng.uniform() < 0.5) continue;
+      std::vector<SiteId>& list = p.allowed_sites[i];
+      for (SiteId s = 0; s < sites; ++s)
+        if (s == feasible[i] || rng.uniform() < 0.3) list.push_back(s);
+    }
+  }
+  return with_zero_byte_messages(std::move(p), seed + 1);
+}
+
+/// The search's oracle: fill every order from scratch with the naive
+/// engine and keep the first cheapest by total_cost.
+Mapping plain_enumeration(const mapping::MappingProblem& p,
+                          const Grouping& grouping, bool search_orders) {
+  const mapping::CostEvaluator eval(p);
+  std::vector<GroupId> order(static_cast<std::size_t>(grouping.num_groups));
+  std::iota(order.begin(), order.end(), 0);
+  Mapping best;
+  Seconds best_cost = 0;
+  do {
+    Mapping m =
+        fill_for_order(p, grouping, order, GeoDistOptions::FillEngine::kNaive);
+    const Seconds cost = eval.total_cost(m);
+    if (best.empty() || cost < best_cost) {
+      best = std::move(m);
+      best_cost = cost;
+    }
+  } while (search_orders && std::next_permutation(order.begin(), order.end()));
+  return best;
+}
+
+struct RestoreWorkers {
+  ~RestoreWorkers() { set_parallel_workers(0); }
+};
+
+/// map() on `p` for both engines under 1-4 workers, with the order search
+/// on and off and in hierarchical mode. The flat results must equal plain
+/// enumeration's. The hierarchical mode, whose levels run the same search,
+/// must agree across engines and workers; with allowed-site sets it can
+/// throw on a feasible problem (a level-2 sub-problem can be infeasible),
+/// and then it must throw alike everywhere.
+void expect_search_matches_enumeration(const mapping::MappingProblem& p,
+                                       int kappa) {
+  for (const int variant : {0, 1, 2}) {
+    GeoDistOptions options;
+    options.kappa = kappa;
+    options.search_orders = variant != 1;
+    options.hierarchical = variant == 2;
+    Mapping expected;
+    std::string expected_error;
+    bool first = true;
+    for (const auto engine : {GeoDistOptions::FillEngine::kNaive,
+                              GeoDistOptions::FillEngine::kHeap}) {
+      options.fill = engine;
+      for (std::size_t workers = 1; workers <= 4; ++workers) {
+        set_parallel_workers(workers);
+        GeoDistMapper mapper(options);
+        Mapping got;
+        std::string error;
+        try {
+          got = mapper.map(p);
+        } catch (const Error& e) {
+          error = e.what();
+        }
+        if (first) {
+          first = false;
+          ASSERT_TRUE(variant == 2 || error.empty()) << error;
+          expected_error = error;
+          expected = variant == 2 ? got
+                                  : plain_enumeration(p, mapper.last_grouping(),
+                                                      options.search_orders);
+        }
+        ASSERT_EQ(error, expected_error);
+        ASSERT_EQ(got, expected) << "kappa " << kappa << " variant " << variant
+                                 << " workers " << workers;
+      }
+    }
+  }
+}
+
+// The depth-first order search, whatever its split and engine, returns
+// what plain enumeration of every order returns.
+TEST(GeoDist, SearchMatchesPlainEnumeration) {
+  const RestoreWorkers restore_workers;
+  std::uint64_t seed = 100;
+  for (const int sites : {5, 8, 12})
+    for (int kappa = 2; kappa <= 5; ++kappa)
+      for (const int n : {24, 90})
+        for (const double pins : {0.0, 0.25})
+          for (const int slack : {0, 2})
+            for (const bool allowed : {false, true}) {
+              ++seed;
+              SCOPED_TRACE(::testing::Message()
+                           << "seed " << seed << ", " << sites << " sites");
+              expect_search_matches_enumeration(
+                  search_problem(sites, n, pins, slack, allowed, false, seed),
+                  kappa);
+              if (HasFatalFailure()) return;
+            }
+  for (int kappa = 2; kappa <= 5; ++kappa)
+    for (const int n : {24, 90})
+      for (const double pins : {0.0, 0.25}) {
+        ++seed;
+        SCOPED_TRACE(::testing::Message()
+                     << "seed " << seed << ", uniform network");
+        expect_search_matches_enumeration(
+            search_problem(8, n, pins, 0, false, true, seed), kappa);
+        if (HasFatalFailure()) return;
+      }
+}
+
+// group_fills counts each prefix of the order tree once: the same count
+// whatever the worker count, and so whatever the split depth.
+TEST(GeoDist, GroupFillsCountEachPrefixOnce) {
+  const RestoreWorkers restore_workers;
+  const mapping::MappingProblem p =
+      search_problem(12, 90, 0.25, 0, false, false, 7);
+  for (int kappa = 2; kappa <= 5; ++kappa) {
+    std::uint64_t prefixes = 0;
+    std::uint64_t at_depth = 1;
+    for (int depth = 1; depth <= kappa; ++depth) {
+      at_depth *= static_cast<std::uint64_t>(kappa - depth + 1);
+      prefixes += at_depth;
+    }
+    for (std::size_t workers = 1; workers <= 4; ++workers) {
+      set_parallel_workers(workers);
+      obs::Collector collector;
+      GeoDistOptions options;
+      options.kappa = kappa;
+      options.collector = &collector;
+      (void)GeoDistMapper(options).map(p);
+      const obs::PhaseSnapshot root = collector.profile().snapshot();
+      ASSERT_EQ(root.children.size(), 1u);
+      const obs::PhaseSnapshot& mapper = root.children.front();
+      const auto search = std::find_if(
+          mapper.children.begin(), mapper.children.end(),
+          [](const obs::PhaseSnapshot& s) { return s.name == "order-search"; });
+      ASSERT_NE(search, mapper.children.end());
+      EXPECT_EQ(search->counters.at("group_fills"), prefixes)
+          << "kappa " << kappa << " workers " << workers;
+    }
   }
 }
 
@@ -226,18 +471,21 @@ TEST(Grouping, LatencyMedoidsSingletonWhenKappaCoversAll) {
 }
 
 TEST(GeoDist, GuardsFactorialExplosion) {
-  Rng rng(5);
-  const net::CloudTopology topo(net::synthetic_profile(10, 2, 7));
-  mapping::MappingProblem p;
-  p.comm = testutil::random_comm(20, 3, rng);
-  p.network = net::NetworkModel::from_ground_truth(topo);
-  p.capacities = topo.capacities();
-  p.site_coords = topo.coordinates();
-  GeoDistOptions opts;
-  opts.use_grouping = false;  // 10! orders
-  opts.max_orders = 5040;
-  GeoDistMapper mapper(opts);
-  EXPECT_THROW(mapper.map(p), Error);
+  // 10! orders exceed the guard; 25! does not fit in 64 bits at all.
+  for (const int sites : {10, 25}) {
+    Rng rng(5);
+    const net::CloudTopology topo(net::synthetic_profile(sites, 2, 7));
+    mapping::MappingProblem p;
+    p.comm = testutil::random_comm(20, 3, rng);
+    p.network = net::NetworkModel::from_ground_truth(topo);
+    p.capacities = topo.capacities();
+    p.site_coords = topo.coordinates();
+    GeoDistOptions opts;
+    opts.use_grouping = false;  // one group per site
+    opts.max_orders = 5040;
+    GeoDistMapper mapper(opts);
+    EXPECT_THROW(mapper.map(p), Error);
+  }
 }
 
 TEST(MonteCarlo, DeterministicAndParallelConsistent) {

@@ -79,14 +79,21 @@ const DeploymentCase kDeployments[] = {
 // with its address.
 using MapperAppCase = std::tuple<MapperCase, std::string>;
 
+// A deployment case is its index into kDeployments.
+using MapperDeploymentCase = std::tuple<MapperCase, int>;
+
 // Without a printer gtest dumps a parameter's bytes, and a MapperCase
 // starts with its name's heap pointer: the test names in gtest's listing
-// would move with the heap layout of the test binary. The app matrix
-// prints its cases by name; MapperDeploymentMatrix still lists the dump
-// (ROADMAP item 2).
+// would move with the heap layout of the test binary. Both matrices
+// print their cases by name.
 void PrintTo(const MapperAppCase& app_case, std::ostream* os) {
   *os << '(' << std::get<0>(app_case).name << ", "
       << ::testing::PrintToString(std::get<1>(app_case)) << ')';
+}
+
+void PrintTo(const MapperDeploymentCase& deployment_case, std::ostream* os) {
+  *os << '(' << std::get<0>(deployment_case).name << ", "
+      << std::get<1>(deployment_case) << ')';
 }
 
 class MapperAppMatrix : public ::testing::TestWithParam<MapperAppCase> {};
@@ -138,7 +145,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 class MapperDeploymentMatrix
-    : public ::testing::TestWithParam<std::tuple<MapperCase, int>> {};
+    : public ::testing::TestWithParam<MapperDeploymentCase> {};
 
 // Every mapper handles every deployment shape (including multi-cloud and
 // many-site synthetic worlds) and is deterministic across repeat calls.

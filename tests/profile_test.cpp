@@ -191,7 +191,9 @@ TEST(PhaseProfiler, MapperPhaseCarriesWorkCountersAndMemoryAccounts) {
   ASSERT_NE(search, nullptr);
   EXPECT_EQ(search->counters.at("orders_enumerated"), 24u);  // 4! orders
   EXPECT_EQ(search->counters.at("cost_evals"), 24u);
-  ASSERT_NE(find_child(*mapper, "fill-winner"), nullptr);
+  // Each prefix of the 4-level order tree is filled once:
+  // 4 + 12 + 24 + 24 group fills, whatever the worker count.
+  EXPECT_EQ(search->counters.at("group_fills"), 64u);
   check_nesting(root);
   EXPECT_NEAR(sum_exclusive(root), root.wall_seconds,
               1e-9 + 1e-9 * root.wall_seconds);
