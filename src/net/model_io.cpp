@@ -1,6 +1,11 @@
 #include "net/model_io.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <iomanip>
+#include <limits>
+#include <set>
 #include <sstream>
 
 #include "common/error.h"
@@ -59,35 +64,48 @@ class TokenReader {
  public:
   explicit TokenReader(const std::string& text) : in_(text) {}
 
+  /// The next token, or "" at the end of the text.
+  std::string token() {
+    std::string t;
+    while (in_ >> t && t[0] == '#') std::getline(in_, t);
+    return in_ ? t : std::string();
+  }
+
   std::string next() {
-    std::string token;
-    while (in_ >> token) {
-      if (token[0] == '#') {
-        std::string rest;
-        std::getline(in_, rest);
-        continue;
-      }
-      return token;
-    }
-    throw InvalidArgument("network spec: unexpected end of input");
+    std::string t = token();
+    if (t.empty()) throw InvalidArgument("network spec: unexpected end of input");
+    return t;
   }
 
-  bool try_next(std::string& token) {
-    try {
-      token = next();
-      return true;
-    } catch (const InvalidArgument&) {
-      return false;
-    }
+  /// Characters not read yet.
+  std::size_t remaining() {
+    return static_cast<std::size_t>(
+        std::max<std::streamsize>(0, in_.rdbuf()->in_avail()));
   }
 
+  /// A finite number spelled by the whole token.
   double next_double() {
     const std::string t = next();
+    std::size_t used = 0;
+    double x = 0;
     try {
-      return std::stod(t);
+      x = std::stod(t, &used);
     } catch (const std::exception&) {
-      throw InvalidArgument("network spec: expected a number, got '" + t + "'");
     }
+    GEOMAP_CHECK_ARG(used == t.size() && std::isfinite(x),
+                     "network spec: expected a finite number, got '" << t
+                                                                     << "'");
+    return x;
+  }
+
+  /// Every integer field's one decoder: a number that is an integer in
+  /// [lo, hi], checked before it is converted.
+  int next_int(int lo, int hi, const char* what) {
+    const double x = next_double();
+    GEOMAP_CHECK_ARG(x >= lo && x <= hi && x == std::trunc(x),
+                     "network spec: " << what << " must be an integer in ["
+                                      << lo << ", " << hi << "], got " << x);
+    return static_cast<int>(x);
   }
 
   std::string next_quoted() {
@@ -95,13 +113,20 @@ class TokenReader {
     std::string name;
     in_ >> std::ws;
     in_ >> std::quoted(name);
-    GEOMAP_CHECK_MSG(static_cast<bool>(in_), "network spec: bad quoted name");
+    GEOMAP_CHECK_ARG(static_cast<bool>(in_), "network spec: bad quoted name");
     return name;
   }
 
  private:
   std::istringstream in_;
 };
+
+Matrix read_matrix(TokenReader& reader, int m) {
+  Matrix out = Matrix::square(static_cast<std::size_t>(m));
+  for (std::size_t k = 0; k < out.rows(); ++k)
+    for (std::size_t l = 0; l < out.rows(); ++l) out(k, l) = reader.next_double();
+  return out;
+}
 
 }  // namespace
 
@@ -113,48 +138,45 @@ NetworkSpec network_spec_from_text(const std::string& text) {
     throw InvalidArgument("network spec: unsupported version");
   if (reader.next() != "sites")
     throw InvalidArgument("network spec: expected 'sites'");
-  const int m = static_cast<int>(reader.next_double());
-  GEOMAP_CHECK_MSG(m > 0 && m < 100000, "network spec: bad site count " << m);
+  const int m = reader.next_int(1, 99999, "site count");
+  // The two required matrices hold 2·M² numbers of at least one character
+  // and a separator each; a header the rest of the text cannot back is
+  // refused before anything is sized by it.
+  const std::uint64_t cells = static_cast<std::uint64_t>(m) * m;
+  GEOMAP_CHECK_ARG(4 * cells <= reader.remaining() + 1,
+                   "network spec: " << m << " sites need " << 2 * cells
+                                    << " matrix entries, more than the "
+                                       "text holds");
 
   Matrix lat, bw;
   NetworkSpec spec;
+  std::set<std::string> seen;
   std::string section;
-  bool have_lat = false, have_bw = false;
-  while (reader.try_next(section)) {
+  while (!(section = reader.token()).empty()) {
+    if (!seen.insert(section).second)
+      throw InvalidArgument("network spec: repeated section '" + section + "'");
     if (section == "latency-seconds") {
-      lat = Matrix::square(static_cast<std::size_t>(m));
-      for (std::size_t k = 0; k < static_cast<std::size_t>(m); ++k)
-        for (std::size_t l = 0; l < static_cast<std::size_t>(m); ++l)
-          lat(k, l) = reader.next_double();
-      have_lat = true;
+      lat = read_matrix(reader, m);
     } else if (section == "bandwidth-bytes-per-second") {
-      bw = Matrix::square(static_cast<std::size_t>(m));
-      for (std::size_t k = 0; k < static_cast<std::size_t>(m); ++k)
-        for (std::size_t l = 0; l < static_cast<std::size_t>(m); ++l)
-          bw(k, l) = reader.next_double();
-      have_bw = true;
+      bw = read_matrix(reader, m);
     } else if (section == "capacities") {
       spec.capacities.resize(static_cast<std::size_t>(m));
-      for (int k = 0; k < m; ++k)
-        spec.capacities[static_cast<std::size_t>(k)] =
-            static_cast<int>(reader.next_double());
+      for (int& c : spec.capacities)
+        c = reader.next_int(0, std::numeric_limits<int>::max(), "capacity");
     } else if (section == "coordinates") {
       spec.coords.resize(static_cast<std::size_t>(m));
-      for (int k = 0; k < m; ++k) {
-        spec.coords[static_cast<std::size_t>(k)].latitude_deg =
-            reader.next_double();
-        spec.coords[static_cast<std::size_t>(k)].longitude_deg =
-            reader.next_double();
+      for (GeoCoordinate& c : spec.coords) {
+        c.latitude_deg = reader.next_double();
+        c.longitude_deg = reader.next_double();
       }
     } else if (section == "names") {
       spec.site_names.resize(static_cast<std::size_t>(m));
-      for (int k = 0; k < m; ++k)
-        spec.site_names[static_cast<std::size_t>(k)] = reader.next_quoted();
+      for (std::string& name : spec.site_names) name = reader.next_quoted();
     } else {
       throw InvalidArgument("network spec: unknown section '" + section + "'");
     }
   }
-  if (!have_lat || !have_bw)
+  if (lat.empty() || bw.empty())
     throw InvalidArgument(
         "network spec: latency-seconds and bandwidth-bytes-per-second "
         "sections are required");

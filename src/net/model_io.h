@@ -42,7 +42,10 @@ std::string to_text(const NetworkSpec& spec);
 /// model) together with its capacities/coordinates/names.
 NetworkSpec make_spec(const CloudTopology& topo, const NetworkModel& model);
 
-/// Parse; throws InvalidArgument on malformed input.
+/// Parse; throws InvalidArgument on malformed input — a number that is
+/// not finite, an integer field out of range, a site count the text
+/// cannot back, a missing or repeated section — and Error when the
+/// matrices do not form a valid NetworkModel.
 NetworkSpec network_spec_from_text(const std::string& text);
 
 }  // namespace geomap::net

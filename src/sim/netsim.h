@@ -7,12 +7,18 @@
 //    sum over process pairs of AG·LT + CG/BT. This is what the paper's
 //    simulation results normalize and compare.
 //
-//  * replay_with_contention — a discrete-event replay where each ordered
-//    site pair is a serializing link of bandwidth BT: each process issues
-//    its messages in pattern order, messages queue on busy links, and the
-//    makespan is the last completion. This adds the congestion effect the
-//    analytic sum ignores and serves as a robustness check: improvements
-//    should keep their ordering under contention.
+//  * the contention replay — one discrete-event engine behind
+//    replay_with_contention (one application) and replay_multitenant
+//    (many sharing the substrate). Each ordered site pair is a
+//    serializing link of bandwidth BT: each process issues its messages
+//    in pattern order, messages queue on busy links, and the makespan is
+//    the last completion. Pending messages are served in the total order
+//    (issue time, tenant, process, edge index); a single-tenant replay is
+//    tenant 0, so processes that issue at the same time (every process
+//    at the start) reach a shared link in process-id order, and results
+//    are a pure function of the inputs. This adds the congestion effect
+//    the analytic sum ignores and serves as a robustness check:
+//    improvements should keep their ordering under contention.
 
 #include "common/types.h"
 #include "fault/degraded_network.h"
@@ -42,29 +48,30 @@ struct ContentionResult {
 /// Event-driven replay with per-site-pair link serialization. Messages of
 /// one source process issue sequentially in CSR row order; intra-site
 /// traffic uses the (infinite-parallelism) intra link and never queues.
-/// `collector` (opt-in, not owned) wraps the replay in a wall span,
-/// records edge counts plus contention-stall histograms, and records the
-/// replay's happened-before DAG as one critical-path run named `label`
-/// (see obs/critpath.h); nullptr replays the exact uninstrumented path
-/// with bit-identical results.
+/// Throws InvalidArgument unless `mapping` places every process on a
+/// site of `model`. `collector` (opt-in, not owned) wraps the replay in a
+/// wall span, records edge counts plus contention-stall histograms, and
+/// records the replay's happened-before DAG as one critical-path run
+/// named `label` (see obs/critpath.h); nullptr replays the exact
+/// uninstrumented path with bit-identical results.
 ContentionResult replay_with_contention(const trace::CommMatrix& comm,
                                         const net::NetworkModel& model,
                                         const Mapping& mapping,
                                         obs::Collector* collector = nullptr,
                                         const char* label = "sim/replay");
 
-/// Fault-aware replay: identical discrete-event engine, but every edge's
-/// wire time is evaluated under `model`'s fault plan as of the edge's
-/// virtual issue time (`start_time` offsets the whole replay into the
-/// plan's schedule), so analytic estimates stay comparable with the
-/// runtime's degraded executions. Edges issuing while an endpoint site is
-/// out stall until the outage ends; a permanent outage in the replayed
+/// Fault-aware replay: the same engine, but every edge's wire time is
+/// evaluated under `model`'s fault plan as of the edge's virtual issue
+/// time (`start_time` offsets the whole replay into the plan's
+/// schedule), so analytic estimates stay comparable with the runtime's
+/// degraded executions. Edges issuing while an endpoint site is out
+/// stall until the outage ends; a permanent outage in the replayed
 /// window throws Error — remap first (core/remap.h), then replay the
 /// surviving mapping. Per-message loss is not modeled here: CSR edges
 /// aggregate many messages, so loss shows up only in the runtime's
 /// accounting. The returned makespan is the replay *duration* (last
-/// completion minus start_time). With an empty plan and start_time 0 this
-/// reproduces the fault-free overload bit-for-bit.
+/// completion minus start_time). With an empty plan and start_time 0
+/// this reproduces the fault-free overload bit-for-bit.
 ContentionResult replay_with_contention(const trace::CommMatrix& comm,
                                         const fault::DegradedNetworkModel& model,
                                         const Mapping& mapping,
@@ -75,15 +82,13 @@ ContentionResult replay_with_contention(const trace::CommMatrix& comm,
 // ---------------------------------------------------------------------------
 // Multi-tenant replay: K independent jobs sharing one substrate
 //
-// The per-link serialization above assumes every flow belongs to one
-// application. A geo-distributed substrate hosts many: each tenant has
+// A geo-distributed substrate hosts many applications: each tenant has
 // its own communication graph and mapping, but the ordered site-pair
 // links are shared, so one tenant's burst queues behind another's. The
-// multi-tenant replay interleaves *all* tenants' flows on one shared set
-// of serializing links, deterministically: the pending-flow queue is
-// ordered by (issue time, tenant id, process id, edge index), a total
-// order, so identical inputs produce bit-identical per-tenant results
-// regardless of tenant count or host scheduling.
+// multi-tenant replay runs the same engine over all tenants' flows at
+// once, in the same total order, so identical inputs produce
+// bit-identical per-tenant results regardless of tenant count or host
+// scheduling.
 
 /// One tenant's workload on the shared substrate (non-owning; both must
 /// outlive the replay call).
@@ -140,11 +145,10 @@ struct MultiTenantReplayResult {
 
 /// Replay every tenant's traffic concurrently on the shared serializing
 /// links under `model`'s fault plan. Bit-reproducible: identical inputs
-/// give identical results across runs and machines. A fault-free
-/// single-tenant call reproduces replay_with_contention's
-/// total_transfer_seconds exactly (the per-edge prices are identical;
-/// the issue interleaving may differ on ties because this queue's
-/// tie-break is total). Throws InvalidArgument on malformed tenants and
+/// give identical results across runs and machines. A one-tenant call
+/// with one round is replay_with_contention: the same makespan, busiest
+/// link and total_transfer_seconds, bit for bit. Records no
+/// critical-path run. Throws InvalidArgument on malformed tenants and
 /// Error when an edge crosses a permanent outage with force_through
 /// disabled.
 MultiTenantReplayResult replay_multitenant(

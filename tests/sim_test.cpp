@@ -3,9 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/error.h"
 #include "common/rng.h"
+#include "fault/degraded_network.h"
+#include "fault/fault_plan.h"
 #include "mapping/cost.h"
 #include "mapping/random_mapper.h"
+#include "obs/collector.h"
 #include "sim/netsim.h"
 #include "sim/perf_model.h"
 #include "test_util.h"
@@ -79,6 +86,62 @@ TEST(NetSim, IntraSiteTrafficNeverQueues) {
       replay_with_contention(comm, model, {0, 0, 0, 0});
   EXPECT_NEAR(r.makespan, 1.0, 1e-9);
   EXPECT_DOUBLE_EQ(r.busiest_link_seconds, 0.0);
+}
+
+TEST(NetSim, TiedIssuesQueueInProcessOrder) {
+  // Processes 0..7 on site 0 each send one message to process 8 on site 1
+  // at t = 0: every issue ties, and the shared WAN link serves them in
+  // process-id order, whatever order the event queue keeps equal times.
+  const int senders = 8;
+  trace::CommMatrix::Builder builder(senders + 1);
+  for (ProcessId i = 0; i < senders; ++i)
+    builder.add_message(i, senders, 1e3 * (senders - i), 1);
+  const trace::CommMatrix comm = builder.build();
+  const net::NetworkModel model(Matrix::square(2, 1e-3),
+                                Matrix::square(2, 1e6));
+  Mapping mapping(static_cast<std::size_t>(senders), 0);
+  mapping.push_back(1);
+
+  obs::Collector collector;
+  (void)replay_with_contention(comm, model, mapping, &collector, "ties");
+  const std::vector<obs::CritGraph::Run> runs = collector.critpath().runs();
+  ASSERT_EQ(runs.size(), 1u);
+  std::vector<obs::CritEvent> events =
+      collector.critpath().canonical_events(runs[0].id);
+  ASSERT_EQ(events.size(), static_cast<std::size_t>(senders));
+  std::sort(events.begin(), events.end(),
+            [](const obs::CritEvent& a, const obs::CritEvent& b) {
+              return a.start < b.start;
+            });
+  for (int k = 0; k < senders; ++k) {
+    const obs::CritEvent& e = events[static_cast<std::size_t>(k)];
+    EXPECT_EQ(e.rank, k) << "position " << k;
+    EXPECT_EQ(e.ready, 0.0);
+    EXPECT_EQ(e.src_site, 0);
+    EXPECT_EQ(e.dst_site, 1);
+    if (k > 0) {
+      EXPECT_EQ(e.start, events[static_cast<std::size_t>(k - 1)].end);
+    }
+  }
+}
+
+TEST(NetSim, ReplayRejectsSitesOutsideTheModel) {
+  trace::CommMatrix::Builder b(3);
+  b.add_message(0, 1, 1e3, 1);
+  b.add_message(1, 2, 1e3, 1);
+  const trace::CommMatrix comm = b.build();
+  const net::NetworkModel model(Matrix::square(2, 1e-3),
+                                Matrix::square(2, 1e6));
+  const fault::FaultPlan no_faults;
+  const fault::DegradedNetworkModel degraded(model, no_faults);
+  for (const Mapping& bad : {Mapping{0, 1, 2}, Mapping{0, -1, 1}}) {
+    EXPECT_THROW((void)replay_with_contention(comm, model, bad),
+                 InvalidArgument);
+    EXPECT_THROW((void)replay_with_contention(comm, degraded, bad),
+                 InvalidArgument);
+  }
+  EXPECT_THROW((void)replay_with_contention(comm, model, Mapping{0, 1}),
+               InvalidArgument);
 }
 
 TEST(NetSim, ImprovementPercent) {

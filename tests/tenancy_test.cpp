@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/app.h"
 #include "common/error.h"
 #include "core/remap.h"
 #include "fault/chaos.h"
@@ -142,20 +143,37 @@ TEST(RemapRetryTest, GivesUpWithTypedErrorAfterMaxAttempts) {
 // Shared-substrate replay (sim::replay_multitenant)
 
 TEST(MultiTenantReplayTest, FaultFreeSingleTenantMatchesContentionReplay) {
-  const mapping::MappingProblem problem =
-      testutil::random_problem(10, 0.0, /*seed=*/21, /*degree=*/3, /*slack=*/2);
-  const Mapping mapping = round_robin(problem);
+  // Every app pattern at three sizes, round-robin over the four AWS
+  // regions: one tenant through the shared replay is the single-tenant
+  // replay, bit for bit, with either single-tenant overload.
+  const net::CloudTopology topo(net::aws_experiment_profile(64));
+  const net::NetworkModel network = net::NetworkModel::from_ground_truth(topo);
   const fault::FaultPlan no_faults;
-  const fault::DegradedNetworkModel model(problem.network, no_faults);
+  const fault::DegradedNetworkModel model(network, no_faults);
+  for (const apps::App* app : apps::extended_apps()) {
+    for (const int n : {16, 64, 256}) {
+      SCOPED_TRACE(app->name() + " N=" + std::to_string(n));
+      const trace::CommMatrix comm =
+          app->synthetic_pattern(n, app->default_config(n));
+      Mapping mapping(static_cast<std::size_t>(n));
+      for (std::size_t i = 0; i < mapping.size(); ++i)
+        mapping[i] = static_cast<SiteId>(i % 4);
 
-  const sim::ContentionResult solo =
-      sim::replay_with_contention(problem.comm, model, mapping);
-  const sim::MultiTenantReplayResult shared =
-      sim::replay_multitenant({{&problem.comm, &mapping}}, model);
-  ASSERT_EQ(shared.tenants.size(), 1u);
-  EXPECT_DOUBLE_EQ(shared.tenants[0].total_transfer_seconds,
-                   solo.total_transfer_seconds);
-  EXPECT_EQ(shared.tenants[0].forced_edges, 0);
+      const sim::MultiTenantReplayResult shared =
+          sim::replay_multitenant({{&comm, &mapping}}, model);
+      ASSERT_EQ(shared.tenants.size(), 1u);
+      EXPECT_EQ(shared.tenants[0].forced_edges, 0);
+      EXPECT_EQ(shared.tenants[0].makespan, shared.makespan);
+      for (const sim::ContentionResult& solo :
+           {sim::replay_with_contention(comm, network, mapping),
+            sim::replay_with_contention(comm, model, mapping)}) {
+        EXPECT_EQ(shared.makespan, solo.makespan);
+        EXPECT_EQ(shared.busiest_link_seconds, solo.busiest_link_seconds);
+        EXPECT_EQ(shared.tenants[0].total_transfer_seconds,
+                  solo.total_transfer_seconds);
+      }
+    }
+  }
 }
 
 TEST(MultiTenantReplayTest, BitIdenticalAcrossRuns) {
