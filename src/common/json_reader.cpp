@@ -1,9 +1,11 @@
 #include "common/json_reader.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 
 #include "common/error.h"
 
@@ -296,20 +298,19 @@ class Parser {
       }
     }
     if (pos_ == start) fail("expected value");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
+    const std::optional<double> v =
+        parse_double(text_.substr(start, pos_ - start));
+    if (!v) {
       pos_ = start;
       fail("invalid number");
     }
-    if (!std::isfinite(v)) {
+    if (!std::isfinite(*v)) {
       // Overflowing literals (1e999) fold to infinity under strtod;
       // downstream arithmetic would propagate it silently. Reject.
       pos_ = start;
       fail("number out of range");
     }
-    return v;
+    return *v;
   }
 
   std::string_view text_;
@@ -318,6 +319,20 @@ class Parser {
 };
 
 }  // namespace
+
+std::optional<double> parse_double(std::string_view token) {
+  double v = 0;
+  const char* const end = token.data() + token.size();
+  const std::from_chars_result read = std::from_chars(token.data(), end, v);
+  if (read.ec == std::errc{} && read.ptr == end && std::isfinite(v)) return v;
+  const std::string copy(token);
+  char* stop = nullptr;
+  v = std::strtod(copy.c_str(), &stop);
+  if (stop == copy.c_str() || stop != copy.c_str() + copy.size()) {
+    return std::nullopt;
+  }
+  return v;
+}
 
 JsonValue parse_json(std::string_view text) {
   return Parser(text).document();

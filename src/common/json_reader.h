@@ -15,6 +15,7 @@
 // truncation path throws instead of reading past the buffer.
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -97,6 +98,13 @@ inline constexpr int kJsonMaxDepth = 256;
 /// Parse one complete JSON document (trailing whitespace allowed, any
 /// other trailing content throws JsonParseError).
 JsonValue parse_json(std::string_view text);
+
+/// The double std::strtod reads from all of `token`; nullopt when strtod
+/// would read nothing or stop before the end. Decimal tokens take the
+/// std::from_chars path; whatever from_chars does not read whole to a
+/// finite value (a '+' sign, hex, an exponent out of range, inf, nan
+/// and its payload) goes to strtod, so the result is always strtod's.
+std::optional<double> parse_double(std::string_view token);
 
 /// Read and parse `path`; throws InvalidArgument when the file cannot be
 /// opened and JsonParseError (prefixed with the path) when it does not

@@ -1,9 +1,10 @@
 #include "common/json_writer.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <ostream>
+#include <system_error>
 
 #include "common/error.h"
 
@@ -53,19 +54,26 @@ std::string JsonWriter::escape(std::string_view s) {
 }
 
 std::string JsonWriter::format_double(double v) {
-  // Integers (common for counts) print without an exponent or trailing
-  // fraction; everything else gets the shortest round-trip form.
+  // std::to_chars prints as printf does in the C locale: `fixed` with
+  // precision 0 is "%.0f", `general` with precision p is "%.*g".
+  char buf[32];
+  char* end = buf;
   if (std::nearbyint(v) == v && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return std::string(buf) + ".0";
+    end = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed, 0)
+              .ptr;
+    *end++ = '.';
+    *end++ = '0';
+    return std::string(buf, end);
   }
-  char buf[40];
   for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;
+    end = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
+                        precision)
+              .ptr;
+    double back = 0;
+    const std::from_chars_result read = std::from_chars(buf, end, back);
+    if (read.ec == std::errc{} && back == v) break;
   }
-  return buf;
+  return std::string(buf, end);
 }
 
 void JsonWriter::newline_indent() {

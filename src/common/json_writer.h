@@ -56,9 +56,15 @@ class JsonWriter {
   /// JSON string escaping of `s` (without the surrounding quotes).
   static std::string escape(std::string_view s);
 
-  /// Shortest decimal form of `v` that parses back to the same double
-  /// (non-finite values are not representable in JSON; callers get "null"
-  /// via value(double)).
+  /// Decimal form of `v` that parses back to the same double. Integers
+  /// below 1e15 in magnitude print as "%.0f" plus ".0" ("3.0", "-0.0");
+  /// anything else prints as the first of "%.15g", "%.16g" and "%.17g"
+  /// that reads back equal, which is not always the shortest form (the
+  /// smallest subnormal prints as "4.94065645841247e-324", not "5e-324").
+  /// WAL record CRCs, case digests and the blessed artifacts hold this
+  /// exact text, so it must not change. Non-finite values print as
+  /// printf prints them ("inf", "-nan"); value(double) writes "null",
+  /// since JSON cannot represent them.
   static std::string format_double(double v);
 
  private:

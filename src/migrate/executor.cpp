@@ -4,12 +4,11 @@
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <optional>
 #include <queue>
-#include <sstream>
 #include <utility>
 
 #include "common/error.h"
-#include "common/json_writer.h"
 #include "fault/degraded_network.h"
 #include "obs/collector.h"
 #include "recover/wal.h"
@@ -275,11 +274,10 @@ class Engine {
                   "migrate", fault::to_string(kind), std::move(fields));
     }
     if (options_.wal != nullptr) {
-      // Payload must stay byte-identical to recover::encode_mig (the
-      // round-trip test pins them); non-chunk transitions sync so the
-      // record is durable before the engine acts on it. Chunk records
-      // ride along with the next sync — losing an unsynced chunk tail
-      // only under-counts copy progress, which redo re-sends anyway.
+      // Non-chunk transitions sync so the record is durable before the
+      // engine acts on it. Chunk records ride along with the next sync —
+      // losing an unsynced chunk tail only under-counts copy progress,
+      // which redo re-sends anyway.
       recover::WalRecordType wtype = recover::WalRecordType::kMigChunk;
       switch (kind) {
         case fault::MigrationEventKind::kReserve:
@@ -301,19 +299,14 @@ class Engine {
           wtype = recover::WalRecordType::kMigReplan;
           break;
       }
-      std::ostringstream os;
-      JsonWriter w(os, /*pretty=*/false);
-      w.begin_object();
-      w.field("tenant", options_.wal_tenant);
-      w.field("process", static_cast<std::int64_t>(p));
-      w.field("from", from);
-      w.field("to", to);
-      w.field("bytes", bytes);
+      std::optional<Seconds> downtime;
       if (kind == fault::MigrationEventKind::kCommit) {
-        w.field("downtime", p >= 0 ? record(p).downtime : 0.0);
+        downtime = p >= 0 ? record(p).downtime : 0.0;
       }
-      w.end_object();
-      options_.wal->append(wtype, t, os.str());
+      options_.wal->append(wtype, t,
+                           recover::encode_mig_payload(options_.wal_tenant, p,
+                                                       from, to, bytes,
+                                                       downtime));
       if (kind != fault::MigrationEventKind::kChunk) options_.wal->sync();
     }
     if (!options_.record_events) return;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "common/error.h"
@@ -399,20 +400,10 @@ SchedFinishRecord decode_sched_finish(const std::string& payload) {
 }
 
 std::string encode_mig(const MigRecord& r) {
-  // Must stay byte-identical to wal_journal in migrate/executor.cpp.
-  std::ostringstream os;
-  JsonWriter w(os, /*pretty=*/false);
-  w.begin_object();
-  w.field("tenant", r.tenant);
-  w.field("process", static_cast<std::int64_t>(r.event.process));
-  w.field("from", r.event.site_from);
-  w.field("to", r.event.site_to);
-  w.field("bytes", r.event.bytes);
-  if (r.event.kind == fault::MigrationEventKind::kCommit) {
-    w.field("downtime", r.downtime);
-  }
-  w.end_object();
-  return os.str();
+  std::optional<Seconds> downtime;
+  if (r.event.kind == fault::MigrationEventKind::kCommit) downtime = r.downtime;
+  return encode_mig_payload(r.tenant, r.event.process, r.event.site_from,
+                            r.event.site_to, r.event.bytes, downtime);
 }
 
 MigRecord decode_mig(WalRecordType type, const std::string& payload) {

@@ -1,13 +1,15 @@
 #pragma once
 // Typed payload codecs for the control-plane WAL.
 //
-// Producers that sit *below* geomap_recover in the link graph encode
-// their payloads locally with JsonWriter (obs/detector.cpp for episode
-// records, migrate/executor.cpp for migration protocol records) — the
-// decoders here are the single source of truth for what those payloads
-// mean, and the round-trip tests in tests/recover_test.cpp pin the two
-// sides together. Producers that link geomap_recover (the scheduler,
-// the recoverable driver) use the encoders here directly.
+// Producers that sit *below* geomap_recover in the link graph cannot
+// call the encoders here. obs/detector.cpp encodes its episode records
+// locally with JsonWriter, and the round-trip tests in
+// tests/recover_test.cpp pin it to encode_detector_episode; the
+// migration executor writes its mig_* records with encode_mig_payload
+// (recover/wal.h), which encode_mig calls too. The decoders here are
+// the single source of truth for what the payloads mean. Producers that
+// link geomap_recover (the scheduler, the recoverable driver) use the
+// encoders here directly.
 //
 // Every decoder throws WalCorrupt on a structurally broken payload: a
 // record that passed its line CRC but does not decode is corruption,

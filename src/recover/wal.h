@@ -35,7 +35,9 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.h"
@@ -65,7 +67,7 @@ enum class WalRecordType {
 };
 
 const char* to_string(WalRecordType type);
-bool parse_record_type(const std::string& name, WalRecordType* out);
+bool parse_record_type(std::string_view name, WalRecordType* out);
 
 /// One decoded log record.
 struct WalRecord {
@@ -163,7 +165,9 @@ struct WalRecovery {
 
 /// Read a WAL directory. A bad line at the very end of a segment is a
 /// torn tail (dropped, counted); anywhere else it throws WalCorrupt.
-/// A missing or empty directory yields an empty recovery.
+/// A missing or empty directory yields an empty recovery. Only files
+/// named exactly as the Wal names its segments (`wal-000001.log`, ...)
+/// are read; `wal-000023.log.bak` or `wal-3.tmp` beside them are not.
 WalRecovery read_wal(const std::string& dir);
 
 /// Every crash point the WAL can die at — the exhaustive soak's matrix.
@@ -172,5 +176,21 @@ std::vector<std::string> crash_point_catalog();
 /// Encode one record line (exposed for tests that corrupt records).
 std::string encode_wal_line(std::uint64_t lsn, WalRecordType type, Seconds t,
                             const std::string& payload);
+
+/// Decode one record line, without its newline: the CRC must match, the
+/// lsn, type and time fields are whitespace-separated as
+/// `std::istream >>` splits them, the time must read whole as strtod
+/// reads it (up to any NUL byte), and the payload is the rest of the
+/// line less one leading space. False on any structural or checksum
+/// failure; `out` is written only on success.
+bool parse_wal_line(std::string_view line, WalRecord* out);
+
+/// The payload of a mig_* record:
+/// {"tenant":..,"process":..,"from":..,"to":..,"bytes":..}, plus
+/// "downtime" when one is given (commits). The migration executor and
+/// recover::encode_mig both write it here; recover::decode_mig reads it.
+std::string encode_mig_payload(int tenant, std::int64_t process, SiteId from,
+                               SiteId to, Bytes bytes,
+                               std::optional<Seconds> downtime);
 
 }  // namespace geomap::recover

@@ -274,6 +274,43 @@ TEST(WalTest, CrashBeforeCompactionLeavesAConsistentLog) {
   EXPECT_EQ(rcp.requests[0].tenant, 0);
 }
 
+TEST(WalTest, StrayFilesBesideTheSegmentsAreNotRead) {
+  TempDir dir("geomap-recover-stray-names");
+  {
+    Wal wal(dir.str(), nofsync());
+    wal.append(WalRecordType::kRunBegin, 0, encode_run_begin(small_run()));
+    wal.sync();
+  }
+  {
+    Wal wal(dir.str(), nofsync());
+    wal.append(WalRecordType::kSchedRequest, 1.0,
+               encode_sched_request(request_record(0, 1.0, 1.0)));
+    wal.sync();
+  }
+  const WalRecovery clean = read_wal(dir.str());
+  ASSERT_EQ(clean.segments_read, 2);
+
+  // Copies of real segments under names that only start like one: a
+  // backup, a temporary, negative and zero indices.
+  namespace fs = std::filesystem;
+  const fs::path last = dir.path / "wal-000002.log";
+  for (const char* stray : {"wal-000002.log.bak", "wal-3.tmp", "wal--2.log",
+                            "wal--00002.log", "wal-000000.log"}) {
+    fs::copy_file(last, dir.path / stray);
+  }
+  const WalRecovery rec = read_wal(dir.str());
+  EXPECT_EQ(rec.segments_read, clean.segments_read);
+  EXPECT_EQ(rec.next_segment, clean.next_segment);
+  EXPECT_EQ(rec.next_lsn, clean.next_lsn);
+  EXPECT_EQ(rec.dropped_torn, clean.dropped_torn);
+  ASSERT_EQ(rec.records.size(), clean.records.size());
+  for (std::size_t i = 0; i < rec.records.size(); ++i) {
+    EXPECT_EQ(rec.records[i].lsn, clean.records[i].lsn);
+    EXPECT_EQ(rec.records[i].type, clean.records[i].type);
+    EXPECT_EQ(rec.records[i].payload, clean.records[i].payload);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Crash injector semantics
 
