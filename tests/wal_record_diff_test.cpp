@@ -1,9 +1,10 @@
 // The WAL record path against its recorded bytes and its old kernels.
 // The seed-17 WAL-backed case must write the same segments, byte for
 // byte, and the same case digest as the build the constants were
-// recorded from; format_double, the CRC-32, the WAL line parse and the
-// JSON number parse must agree bit for bit with the snprintf/strtod,
-// byte-wise and istringstream oracles in wal_record_oracle.h.
+// recorded from; format_double, the CRC-32 and the JSON number parse must
+// agree bit for bit with the snprintf/strtod and byte-wise oracles in
+// wal_record_oracle.h, and every WAL line the strict line grammar accepts
+// must parse as the istringstream oracle parses it.
 
 #include <gtest/gtest.h>
 
@@ -242,7 +243,7 @@ TEST(WalRecordDiffTest, Crc32MatchesTheByteWiseTable) {
 }
 
 // ---------------------------------------------------------------------------
-// parse_wal_line against the istringstream parse
+// parse_wal_line's grammar against the istringstream parse
 
 std::vector<std::string> segment_lines(const std::filesystem::path& dir) {
   std::vector<std::string> lines;
@@ -262,23 +263,21 @@ std::string with_crc(const std::string& body) {
   return std::string("g1 ") + crc + " " + body;
 }
 
-/// Both parsers on one line: same verdict and, when they accept, the
-/// same fields bit for bit. Returns whether the oracle accepted.
-bool expect_same_parse(const std::string& line) {
+/// The strict parse on one line, checked against the stream parse:
+/// whatever the strict parse accepts, the stream parse accepts with the
+/// same fields, bit for bit. Returns whether the strict parse accepted.
+bool accepts_as_oracle(const std::string& line) {
   WalRecord got;
+  if (!parse_wal_line(line, &got)) return false;
   WalRecord want;
-  const bool ok = parse_wal_line(line, &got);
-  const bool want_ok = testutil::oracle_parse_wal_line(line, &want);
-  EXPECT_EQ(ok, want_ok) << "line: " << line;
-  if (ok && want_ok) {
-    EXPECT_EQ(got.lsn, want.lsn) << "line: " << line;
-    EXPECT_EQ(got.type, want.type) << "line: " << line;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.t),
-              std::bit_cast<std::uint64_t>(want.t))
-        << "line: " << line;
-    EXPECT_EQ(got.payload, want.payload) << "line: " << line;
-  }
-  return want_ok;
+  EXPECT_TRUE(testutil::oracle_parse_wal_line(line, &want)) << "line: " << line;
+  EXPECT_EQ(got.lsn, want.lsn) << "line: " << line;
+  EXPECT_EQ(got.type, want.type) << "line: " << line;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.t),
+            std::bit_cast<std::uint64_t>(want.t))
+      << "line: " << line;
+  EXPECT_EQ(got.payload, want.payload) << "line: " << line;
+  return true;
 }
 
 TEST(WalRecordDiffTest, WalLineParseMatchesTheStreamParse) {
@@ -305,9 +304,10 @@ TEST(WalRecordDiffTest, WalLineParseMatchesTheStreamParse) {
 
   Rng rng(17);
   std::size_t accepted = 0;
+  std::size_t oracle_only = 0;
   std::size_t mutants = 0;
   for (const std::string& line : lines) {
-    ASSERT_TRUE(expect_same_parse(line)) << line;
+    ASSERT_TRUE(accepts_as_oracle(line)) << line;
     // Split the body at its first three spaces: lsn, type, time, payload.
     const std::string body = line.substr(12);
     const std::size_t a = body.find(' ');
@@ -360,17 +360,48 @@ TEST(WalRecordDiffTest, WalLineParseMatchesTheStreamParse) {
       bodies.push_back(m);
       // The same edit without a fresh CRC must fail its checksum.
       if (m != body) {
-        EXPECT_FALSE(expect_same_parse("g1 " + line.substr(3, 9) + m));
+        EXPECT_FALSE(accepts_as_oracle("g1 " + line.substr(3, 9) + m));
       }
     }
     for (const std::string& m : bodies) {
-      accepted += expect_same_parse(with_crc(m)) ? 1 : 0;
+      const std::string mutant = with_crc(m);
+      if (accepts_as_oracle(mutant)) {
+        accepted += 1;
+      } else {
+        WalRecord r;
+        oracle_only += testutil::oracle_parse_wal_line(mutant, &r) ? 1 : 0;
+      }
       mutants += 1;
     }
+    // Forms the stream parse took and the grammar refuses: a signed or
+    // overflowing lsn, an lsn run into its type, a second space or another
+    // whitespace byte between fields, and a time with a '+', in hex, not
+    // finite or holding a NUL.
+    for (const std::string& refused : {
+             join("+" + lsn, type, t, payload, " "),
+             join("-" + lsn, type, t, payload, " "),
+             join("18446744073709551616", type, t, payload, " "),
+             lsn + type + " " + t + " " + payload,
+             join(lsn, type, t, payload, "  "),
+             join(lsn, type, t, payload, "\t"),
+             " " + body,
+             join(lsn, type, "+5", payload, " "),
+             join(lsn, type, "0x1p3", payload, " "),
+             join(lsn, type, "inf", payload, " "),
+             join(lsn, type, "-inf", payload, " "),
+             join(lsn, type, "nan", payload, " "),
+             join(lsn, type, "1e999", payload, " "),
+             join(lsn, type, t + std::string("\0" "9", 2), payload, " "),
+             join(lsn, type, std::string("1.5\0", 4), payload, " ")}) {
+      EXPECT_FALSE(accepts_as_oracle(with_crc(refused)))
+          << "accepted: " << refused;
+    }
   }
-  // Both verdicts occur: the mutants reach the field parse.
+  // The mutants reach the field parse: the grammar accepts some, refuses
+  // some, and refuses some the stream parse takes.
   EXPECT_GT(accepted, lines.size());
   EXPECT_LT(accepted, mutants);
+  EXPECT_GT(oracle_only, 0u);
 }
 
 // ---------------------------------------------------------------------------
