@@ -19,6 +19,23 @@
 //    are a pure function of the inputs. This adds the congestion effect
 //    the analytic sum ignores and serves as a robustness check:
 //    improvements should keep their ordering under contention.
+//
+// How the engine runs. Before the first event it builds a plan: every
+// tenant's CSR edges, tenant after tenant, in row order, each with its
+// ordered site pair, whether it ends its row, and what its network
+// prices it from. A healthy network stores the edge's wire price, which
+// does not depend on time (16 bytes an edge); a network with faults
+// stores its count and volume. A process numbers its tenant's first
+// flat process plus its own id, so flat processes sort as (tenant,
+// process). Each process has at most one pending edge, kept as one
+// unsigned 128-bit key: the issue time's order-preserving bits << 64 |
+// flat process << 32 | plan index. Keys never tie, and comparing them
+// as integers is the total order above, so any correct heap pops the
+// same sequence. An event reads one plan record; only the critical-path
+// recorder reads the CSR again. A replay holds fewer than 2^32 flat
+// processes and fewer than 2^32 edges. A fault-aware replay whose plan
+// has no events runs the healthy instance: nothing stalls, and every
+// price is the base model's, bit for bit.
 
 #include "common/types.h"
 #include "fault/degraded_network.h"
@@ -41,7 +58,9 @@ struct ContentionResult {
   Seconds makespan = 0;
   /// Busy time of the most loaded inter-site link.
   Seconds busiest_link_seconds = 0;
-  /// Sum of per-message latencies+transfer (equals alpha_beta_cost).
+  /// Sum of per-message latencies+transfer: alpha_beta_cost up to
+  /// summation order (the replay adds in pop order, alpha_beta_cost in
+  /// row order), so the two agree to rounding, not bit for bit.
   Seconds total_transfer_seconds = 0;
 };
 
@@ -70,8 +89,8 @@ ContentionResult replay_with_contention(const trace::CommMatrix& comm,
 /// surviving mapping. Per-message loss is not modeled here: CSR edges
 /// aggregate many messages, so loss shows up only in the runtime's
 /// accounting. The returned makespan is the replay *duration* (last
-/// completion minus start_time). With an empty plan and start_time 0
-/// this reproduces the fault-free overload bit-for-bit.
+/// completion minus start_time). An empty plan replays as the fault-free
+/// overload does; with start_time 0 it reproduces it bit-for-bit.
 ContentionResult replay_with_contention(const trace::CommMatrix& comm,
                                         const fault::DegradedNetworkModel& model,
                                         const Mapping& mapping,
@@ -148,9 +167,10 @@ struct MultiTenantReplayResult {
 /// give identical results across runs and machines. A one-tenant call
 /// with one round is replay_with_contention: the same makespan, busiest
 /// link and total_transfer_seconds, bit for bit. Records no
-/// critical-path run. Throws InvalidArgument on malformed tenants and
-/// Error when an edge crosses a permanent outage with force_through
-/// disabled.
+/// critical-path run. Throws InvalidArgument on malformed tenants or
+/// 2^32 or more processes or edges in all, and Error when an edge
+/// crosses a permanent outage with force_through disabled. A model whose
+/// plan has no events replays the healthy network, with the same results.
 MultiTenantReplayResult replay_multitenant(
     const std::vector<TenantFlow>& tenants,
     const fault::DegradedNetworkModel& model,
