@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -309,6 +310,33 @@ TEST(WalTest, StrayFilesBesideTheSegmentsAreNotRead) {
     EXPECT_EQ(rec.records[i].type, clean.records[i].type);
     EXPECT_EQ(rec.records[i].payload, clean.records[i].payload);
   }
+}
+
+TEST(WalTest, NonFiniteTimeIsRefusedWhenWritten) {
+  // parse_wal_line reads only finite times, so the writer refuses the
+  // rest instead of logging a line that replays as corrupt or torn.
+  for (const double t : {std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW((void)encode_wal_line(1, WalRecordType::kRunEnd, t, "{}"),
+                 InvalidArgument)
+        << t;
+  }
+  TempDir dir("geomap-recover-non-finite-time");
+  {
+    Wal wal(dir.str(), nofsync());
+    wal.append(WalRecordType::kRunBegin, 0, encode_run_begin(small_run()));
+    EXPECT_THROW(wal.append(WalRecordType::kRunEnd,
+                            std::numeric_limits<double>::quiet_NaN(), "{}"),
+                 InvalidArgument);
+    EXPECT_EQ(wal.append(WalRecordType::kRunEnd, 2.0, "{}"), 2u);
+    wal.sync();
+  }
+  const WalRecovery rec = read_wal(dir.str());
+  ASSERT_EQ(rec.records.size(), 2u);
+  EXPECT_EQ(rec.records[1].lsn, 2u);
+  EXPECT_EQ(rec.records[1].t, 2.0);
+  EXPECT_EQ(rec.dropped_torn, 0);
 }
 
 // ---------------------------------------------------------------------------
