@@ -51,8 +51,8 @@ int main(int argc, char** argv) {
                "optimize (ms)"});
 
   auto run_config = [&](const std::string& label, core::GeoDistOptions opts) {
-    opts.collector = obs.collector();
     core::GeoDistMapper mapper(opts);
+    mapper.set_collector(obs.collector());
     Timer timer;
     const Mapping m = mapper.map(problem);
     const double ms = timer.elapsed_ms();

@@ -118,9 +118,9 @@ int run_detector_mode(const CliParser& cli, bench::ObsSink& obs) {
     const mapping::MappingProblem problem = core::make_problem(
         ctx.topo, ctx.calib.model, std::move(comm), std::move(constraints));
 
-    core::GeoDistOptions geo_options;
-    geo_options.collector = obs.collector();
-    const Mapping current = core::GeoDistMapper(geo_options).map(problem);
+    core::GeoDistMapper geo;
+    geo.set_collector(obs.collector());
+    const Mapping current = geo.map(problem);
     const SiteId failed = busiest_site(current, problem.num_sites());
 
     // Healthy execution: calibrates the fault schedule to this app's
@@ -278,9 +278,9 @@ int run_migrate_mode(const CliParser& cli, bench::ObsSink& obs) {
     const mapping::MappingProblem problem = core::make_problem(
         ctx.topo, ctx.calib.model, std::move(comm), std::move(constraints));
 
-    core::GeoDistOptions geo_options;
-    geo_options.collector = obs.collector();
-    const Mapping current = core::GeoDistMapper(geo_options).map(problem);
+    core::GeoDistMapper geo;
+    geo.set_collector(obs.collector());
+    const Mapping current = geo.map(problem);
     const SiteId failed = busiest_site(current, problem.num_sites());
 
     for (const Seconds t_out : outage_times) {
@@ -618,9 +618,9 @@ int main(int argc, char** argv) {
     const mapping::MappingProblem problem = core::make_problem(
         ctx.topo, ctx.calib.model, std::move(comm), std::move(constraints));
 
-    core::GeoDistOptions geo_options;
-    geo_options.collector = obs.collector();
-    const Mapping current = core::GeoDistMapper(geo_options).map(problem);
+    core::GeoDistMapper geo;
+    geo.set_collector(obs.collector());
+    const Mapping current = geo.map(problem);
     const SiteId failed = busiest_site(current, problem.num_sites());
 
     for (const double factor : factors) {

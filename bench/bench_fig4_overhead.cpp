@@ -68,9 +68,8 @@ int main(int argc, char** argv) {
     mapping::MpippMapper mpipp;
     // Note: an attached collector audits every timed map() call, so the
     // reported Geo overhead then includes the observability tax.
-    core::GeoDistOptions geo_options;
-    geo_options.collector = obs.collector();
-    core::GeoDistMapper geo(geo_options);
+    core::GeoDistMapper geo;
+    geo.set_collector(obs.collector());
 
     const double t_base = time_mapper(baseline, problem, reps);
     const double t_greedy = time_mapper(greedy, problem, reps);

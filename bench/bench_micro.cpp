@@ -1,6 +1,6 @@
 // google-benchmark micro benchmarks of the library's hot kernels: cost
-// evaluation, incremental deltas, the two fill engines, k-means
-// grouping, Monte Carlo draws and the contention replay.
+// evaluation, incremental deltas, the heap fill, k-means grouping,
+// Monte Carlo draws and the contention replay.
 //
 // --self-overhead[=reps] bypasses google-benchmark and measures the obs
 // layer against itself: representative bodies run alternately with a
@@ -82,19 +82,6 @@ void BM_DeltaMove(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeltaMove)->Arg(64)->Arg(4096);
-
-void BM_FillNaive(benchmark::State& state) {
-  const auto n = static_cast<int>(state.range(0));
-  const mapping::MappingProblem p = problem_for(n, "K-means");
-  const core::Grouping g = core::group_sites(p.site_coords, 4);
-  std::vector<GroupId> order;
-  for (int i = 0; i < g.num_groups; ++i) order.push_back(i);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::fill_for_order(
-        p, g, order, core::GeoDistOptions::FillEngine::kNaive));
-  }
-}
-BENCHMARK(BM_FillNaive)->Arg(64)->Arg(512)->Arg(2048);
 
 void BM_FillHeap(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));
@@ -199,9 +186,8 @@ struct OverheadBody {
 
 void body_geodist_map(obs::Collector* col) {
   const mapping::MappingProblem p = problem_for(512, "K-means");
-  core::GeoDistOptions options;
-  options.collector = col;
-  core::GeoDistMapper mapper(options);
+  core::GeoDistMapper mapper;
+  mapper.set_collector(col);
   benchmark::DoNotOptimize(mapper.map(p));
 }
 
@@ -235,7 +221,7 @@ void body_migrate_soak(obs::Collector* col) {
   options.ranks = 32;
   options.num_sites = 4;
   options.app_rounds = 2;
-  options.migrate.collector = col;
+  options.collector = col;
   benchmark::DoNotOptimize(migrate::run_soak_case(11, options));
 }
 

@@ -82,9 +82,7 @@ inline AlgorithmSet paper_algorithms(int num_processes, int mpipp_limit = 1000,
   set.greedy = std::make_unique<mapping::GreedyMapper>();
   if (num_processes <= mpipp_limit)
     set.mpipp = std::make_unique<mapping::MpippMapper>();
-  core::GeoDistOptions geo_options;
-  geo_options.collector = collector;
-  set.geo = std::make_unique<core::GeoDistMapper>(geo_options);
+  set.geo = std::make_unique<core::GeoDistMapper>();
   for (mapping::Mapper* m : set.all()) m->set_collector(collector);
   return set;
 }

@@ -21,7 +21,6 @@ using mapping::MappingProblem;
 /// once per map() call and shared read-only by the search's tasks.
 struct FillPlan {
   const MappingProblem* p = nullptr;
-  const Grouping* grouping = nullptr;
   /// The partial mapping after constraint pre-assignment, and the free
   /// capacity it leaves on each site.
   Mapping partial;
@@ -40,7 +39,7 @@ struct FillPlan {
   std::vector<std::vector<SiteId>> sites;
 
   FillPlan(const MappingProblem& problem, const Grouping& groups)
-      : p(&problem), grouping(&groups) {
+      : p(&problem) {
     std::tie(partial, free) = mapping::apply_constraints(problem);
     const int n = problem.num_processes();
     pinned.resize(free.size());
@@ -59,18 +58,13 @@ struct FillPlan {
                               problem.comm.process_traffic(b);
                      });
     sites = groups.members;
-    for (std::vector<SiteId>& group_sites : sites) sort_by_free(group_sites, free);
-  }
-
-  /// Algorithm 1 line 10: largest available capacity first, ties kept in
-  /// order.
-  static void sort_by_free(std::vector<SiteId>& group_sites,
-                           const std::vector<int>& free_caps) {
-    std::stable_sort(group_sites.begin(), group_sites.end(),
-                     [&](SiteId a, SiteId b) {
-                       return free_caps[static_cast<std::size_t>(a)] >
-                              free_caps[static_cast<std::size_t>(b)];
-                     });
+    for (std::vector<SiteId>& group_sites : sites) {
+      std::stable_sort(group_sites.begin(), group_sites.end(),
+                       [&](SiteId a, SiteId b) {
+                         return free[static_cast<std::size_t>(a)] >
+                                free[static_cast<std::size_t>(b)];
+                       });
+    }
   }
 };
 
@@ -80,15 +74,13 @@ struct FillPlan {
 ///
 /// affinity[q] accumulates the undirected volume between q and the
 /// processes already in the site being filled; a touched-list resets it
-/// in O(|touched|) after each site. The heap engine also keeps an indexed
-/// binary max-heap over (affinity, lower id first) with at most one entry
-/// per process, raised in place as its affinity grows. Only positive
-/// affinities enter it; a zero-affinity pick is the lowest unselected id,
-/// read from a cursor.
+/// in O(|touched|) after each site. An indexed binary max-heap over
+/// (affinity, lower id first) holds at most one entry per process, raised
+/// in place as its affinity grows. Only positive affinities enter it; a
+/// zero-affinity pick is the lowest unselected id, read from a cursor.
 struct FillState {
   const FillPlan* plan;
   const MappingProblem* p;
-  GeoDistOptions::FillEngine engine;
   Mapping mapping;
   std::vector<int> free;
   std::vector<char> selected;
@@ -109,10 +101,9 @@ struct FillState {
   std::vector<HeapEntry> heap;
   std::vector<int> heap_pos;  // index into heap, -1 when absent
 
-  FillState(const FillPlan& fill_plan, GeoDistOptions::FillEngine fill_engine)
+  explicit FillState(const FillPlan& fill_plan)
       : plan(&fill_plan),
         p(fill_plan.p),
-        engine(fill_engine),
         mapping(fill_plan.partial),
         free(fill_plan.free),
         selected(mapping.size(), 0),
@@ -144,16 +135,7 @@ struct FillState {
   }
 
   void fill_group(GroupId g) {
-    const bool naive = engine == GeoDistOptions::FillEngine::kNaive;
-    std::vector<SiteId> live_order;
-    if (naive) {
-      // The oracle sorts by the live capacities, as Algorithm 1 line 10
-      // reads, instead of trusting the plan's precomputed order.
-      live_order = plan->grouping->members[static_cast<std::size_t>(g)];
-      FillPlan::sort_by_free(live_order, free);
-    }
-    for (const SiteId site :
-         naive ? live_order : plan->sites[static_cast<std::size_t>(g)]) {
+    for (const SiteId site : plan->sites[static_cast<std::size_t>(g)]) {
       if (free[static_cast<std::size_t>(site)] == 0) continue;  // line 6
       if (num_unselected == 0) break;
       fill_site(site);
@@ -161,31 +143,20 @@ struct FillState {
   }
 
   void fill_site(SiteId site) {
-    const bool naive = engine == GeoDistOptions::FillEngine::kNaive;
     // Pinned processes already resident in this site attract their
-    // neighbours from the first pick. The naive oracle finds them by a
-    // scan; the heap engine reads the plan's list, in the same id order.
-    if (naive) {
-      for (ProcessId q = 0; q < p->num_processes(); ++q) {
-        if (selected[static_cast<std::size_t>(q)] &&
-            mapping[static_cast<std::size_t>(q)] == site)
-          add_member_affinity(q);
-      }
-    } else {
-      for (const ProcessId q : plan->pinned[static_cast<std::size_t>(site)])
-        add_member_affinity(q);
-    }
+    // neighbours from the first pick, adding their affinities in id
+    // order.
+    for (const ProcessId q : plan->pinned[static_cast<std::size_t>(site)])
+      add_member_affinity(q);
 
-    // Lowest id not yet ruled out for this site (heap engine): everything
-    // below it is selected or disallowed here, and stays so while the
-    // site fills.
+    // Lowest id not yet ruled out for this site: everything below it is
+    // selected or disallowed here, and stays so while the site fills.
     std::size_t lowest = 0;
     for (bool first = true;
          free[static_cast<std::size_t>(site)] > 0 && num_unselected > 0;
          first = false) {
-      const ProcessId pick = first   ? heaviest_unselected_for(site)
-                             : naive ? naive_pick(site)
-                                     : heap_pick(site, lowest);
+      const ProcessId pick =
+          first ? heaviest_unselected_for(site) : heap_pick(site, lowest);
       if (pick < 0) break;  // nothing placeable here (allowed-site sets)
       select(pick, site);
       add_member_affinity(pick);
@@ -217,8 +188,7 @@ struct FillState {
       if (selected[qi] || r.volume[k] == 0.0) continue;
       if (affinity[qi] == 0.0) touched.push_back(q);
       affinity[qi] += r.volume[k];
-      if (engine == GeoDistOptions::FillEngine::kHeap)
-        heap_raise(q, affinity[qi]);
+      heap_raise(q, affinity[qi]);
     }
   }
 
@@ -240,28 +210,12 @@ struct FillState {
     return -1;
   }
 
-  /// The paper's pick, O(N): scan all unselected processes for the
-  /// affinity argmax (tie: lowest id).
-  ProcessId naive_pick(SiteId site) const {
-    ProcessId pick = -1;
-    Bytes best = -1.0;
-    for (ProcessId q = 0; q < p->num_processes(); ++q) {
-      if (selected[static_cast<std::size_t>(q)]) continue;
-      if (!p->placement_allowed(q, site)) continue;
-      const Bytes a = affinity[static_cast<std::size_t>(q)];
-      if (a > best) {
-        best = a;
-        pick = q;
-      }
-    }
-    return pick;
-  }
-
-  /// The naive pick in O(log N): the heap answers while it holds a live
-  /// entry, unselected and placeable here (an entry for a process that
-  /// cannot join this site is dropped; a later affinity gain pushes it
-  /// again). Otherwise every placeable process has zero affinity, and the
-  /// pick is the lowest such id.
+  /// Algorithm 1's pick, the unselected process placeable here with the
+  /// most affinity (tie: lowest id), in O(log N): the heap answers while it
+  /// holds a live entry, unselected and placeable here (an entry for a
+  /// process that cannot join this site is dropped; a later affinity gain
+  /// pushes it again). Otherwise every placeable process has zero
+  /// affinity, and the pick is the lowest such id.
   ProcessId heap_pick(SiteId site, std::size_t& lowest) {
     while (!heap.empty()) {
       const ProcessId top = heap.front().id;
@@ -280,8 +234,8 @@ struct FillState {
     return lowest < n ? static_cast<ProcessId>(lowest) : -1;
   }
 
-  /// Heap order: higher affinity first, then lower id (the naive scan's
-  /// tie break).
+  /// Heap order: higher affinity first, then lower id (Algorithm 1's tie
+  /// break).
   static bool above(const HeapEntry& a, const HeapEntry& b) {
     return a.affinity > b.affinity ||
            (a.affinity == b.affinity && a.id < b.id);
@@ -357,7 +311,7 @@ struct FillState {
 
 Mapping fill_for_order(const MappingProblem& problem, const Grouping& grouping,
                        const std::vector<GroupId>& group_order,
-                       GeoDistOptions::FillEngine engine) {
+                       GeoDistOptions::FillEngine /*engine*/) {
   std::vector<char> seen(static_cast<std::size_t>(grouping.num_groups), 0);
   for (const GroupId g : group_order) {
     GEOMAP_CHECK_MSG(g >= 0 && g < grouping.num_groups &&
@@ -367,7 +321,7 @@ Mapping fill_for_order(const MappingProblem& problem, const Grouping& grouping,
     seen[static_cast<std::size_t>(g)] = 1;
   }
   const FillPlan plan(problem, grouping);
-  FillState state(plan, engine);
+  FillState state(plan);
   for (const GroupId g : group_order) state.fill_group(g);
   return state.completed();
 }
@@ -452,10 +406,12 @@ net::NetworkModel group_level_model(const net::NetworkModel& model,
 
 /// Hierarchical solve (paper: "recursively apply the proposed algorithm
 /// inside each group"): processes -> groups on the group-averaged model,
-/// then each group's processes -> its member sites, recursively.
+/// then each group's processes -> its member sites, recursively. Every
+/// level's mapper reports to `collector`.
 Mapping map_hierarchical(const MappingProblem& problem,
                          const Grouping& grouping,
-                         const GeoDistOptions& options) {
+                         const GeoDistOptions& options,
+                         obs::Collector* collector) {
   const int n = problem.num_processes();
 
   // ---- Level 1: treat groups as large sites. ----
@@ -501,6 +457,7 @@ Mapping map_hierarchical(const MappingProblem& problem,
   GeoDistOptions level_options = options;
   level_options.hierarchical = false;  // groups are few; flat search here
   GeoDistMapper level_mapper(level_options);
+  level_mapper.set_collector(collector);
   const Mapping to_group = level_mapper.map(group_problem);
 
   // ---- Level 2: solve each group's internal mapping recursively. ----
@@ -589,6 +546,7 @@ Mapping map_hierarchical(const MappingProblem& problem,
     sub.validate();
 
     GeoDistMapper sub_mapper(options);  // recursion: sub may regroup
+    sub_mapper.set_collector(collector);
     const Mapping local = sub_mapper.map(sub);
     for (std::size_t li = 0; li < procs.size(); ++li)
       result[static_cast<std::size_t>(procs[li])] =
@@ -602,8 +560,7 @@ Mapping map_hierarchical(const MappingProblem& problem,
 Mapping GeoDistMapper::map(const MappingProblem& problem) {
   problem.validate();
   const int m = problem.num_sites();
-  obs::Collector* const col =
-      options_.collector != nullptr ? options_.collector : collector_;
+  obs::Collector* const col = collector_;
 
   obs::Phase map_phase;
   if (col != nullptr) {
@@ -654,7 +611,7 @@ Mapping GeoDistMapper::map(const MappingProblem& problem) {
     obs::Phase hier_phase;
     if (col != nullptr) hier_phase = col->profile().phase("hierarchical");
     const Mapping result =
-        map_hierarchical(problem, last_grouping_, options_);
+        map_hierarchical(problem, last_grouping_, options_, col);
     mapping::validate_mapping(problem, result);
     return result;
   }
@@ -773,7 +730,7 @@ Mapping GeoDistMapper::map(const MappingProblem& problem) {
     // it sits below the state's buffers instead of among them.
     TaskWinner& win = winners[task];
     win.mapping.reserve(plan.partial.size());
-    FillState state(plan, options_.fill);
+    FillState state(plan);
     std::vector<GroupId> order = nth_permutation(kappa, first_leaf);
     std::vector<char> used(static_cast<std::size_t>(kappa), 0);
     // group_fills counts each prefix of the tree once: a prefix above the
@@ -877,7 +834,8 @@ Mapping GeoDistMapper::map(const MappingProblem& problem) {
   if (win.leaf != static_cast<std::int64_t>(best))
     return fill_for_order(
         problem, last_grouping_,
-        nth_permutation(kappa, static_cast<std::int64_t>(best)), options_.fill);
+        nth_permutation(kappa, static_cast<std::int64_t>(best)),
+        GeoDistOptions::FillEngine::kHeap);
   return win.mapping;
 }
 

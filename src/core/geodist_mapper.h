@@ -11,15 +11,16 @@
 //        communication to the processes already in that site, to capacity;
 //   4. keep the order with the minimum COST(P^θ).
 //
-// Complexity O(κ! · N²) with the paper's naive fill. This implementation
-// builds what no order changes once per call (the constrained partial
-// mapping, the traffic order of the seed picks, each site's pinned
-// processes, each group's site order) and adds a heap fill: an indexed
-// max-heap over (affinity, lower id first) holds at most one entry per
-// process, raised in place by sparse affinity updates, and zero-affinity
-// picks come from a lowest-id cursor. A site fill costs O((k + e) log N)
-// for its k picks and the e edges of its members (pinned residents
-// included), plus cursor walks of at most O(N).
+// Complexity O(κ! · N²) with the paper's fill, which scans every
+// unselected process for each pick. This implementation builds what no
+// order changes once per call (the constrained partial mapping, the
+// traffic order of the seed picks, each site's pinned processes, each
+// group's site order) and fills with a heap: an indexed max-heap over
+// (affinity, lower id first) holds at most one entry per process, raised
+// in place by sparse affinity updates, and zero-affinity picks come from
+// a lowest-id cursor. A site fill costs O((k + e) log N) for its k picks
+// and the e edges of its members (pinned residents included), plus
+// cursor walks of at most O(N).
 //
 // The search walks the order tree depth first, in lexicographic order.
 // Orders that share a prefix share its fill, and an undo log takes it
@@ -28,17 +29,14 @@
 // order. Parallel tasks are the prefixes at the depth d that minimizes
 // ⌈P_d / W⌉ × (fills per task), P_d = κ!/(κ−d)! on W workers; each task
 // keeps the mapping of its first cheapest order, so the winner is not
-// filled again. The test suite asserts that the heap fill matches the
-// naive one and the search matches plain enumeration of every order.
+// filled again. The paper's scan fill and its plain enumeration of every
+// order live in tests/geodist_fill_oracle.h, where the test suite checks
+// the heap fill and the search against them pick for pick.
 
 #include <cstdint>
 
 #include "core/grouping.h"
 #include "mapping/mapper.h"
-
-namespace geomap::obs {
-class Collector;
-}
 
 namespace geomap::core {
 
@@ -61,9 +59,10 @@ struct GeoDistOptions {
   /// κ! order search).
   bool search_orders = true;
 
-  /// Fill-engine selection (kNaive is the paper's O(N²) loop).
-  enum class FillEngine { kNaive, kHeap };
-  FillEngine fill = FillEngine::kHeap;
+  /// The one fill engine, the heap fill. The enum and fill_for_order's
+  /// engine argument stay only because the perfbench harness passes
+  /// FillEngine::kHeap; the next change to the benchmark drops both.
+  enum class FillEngine { kHeap };
 
   /// Hierarchical recursion (paper Section 4.2: "recursively apply the
   /// proposed algorithm inside each group"): first map processes to
@@ -81,15 +80,13 @@ struct GeoDistOptions {
   int max_orders = 40320;
 
   KMeansOptions kmeans;
-
-  /// Observability (opt-in, not owned): when set, map() traces its order
-  /// search, records mapper metrics, and files a decision audit entry —
-  /// every enumerated group order with its per-site-pair alpha/beta cost
-  /// decomposition. With nullptr (default) the search runs the exact
-  /// uninstrumented code path and produces bit-identical mappings.
-  obs::Collector* collector = nullptr;
 };
 
+/// With a collector attached (Mapper::set_collector), map() traces its
+/// order search, records mapper metrics, and files a decision audit entry:
+/// every enumerated group order with its per-site-pair alpha/beta cost
+/// decomposition. Without one the search runs the uninstrumented code
+/// path; the mapping is bit-identical either way.
 class GeoDistMapper : public mapping::Mapper {
  public:
   explicit GeoDistMapper(GeoDistOptions options = {}) : options_(options) {}
@@ -109,10 +106,11 @@ class GeoDistMapper : public mapping::Mapper {
   int last_orders_ = 0;
 };
 
-/// Fill a mapping for one specific group order. Exposed for tests and the
-/// ablation benches. `group_order` lists group indices, each at most once
-/// (a permutation of them for a full fill); a repeated or out-of-range
-/// index throws.
+/// Heap-fill a mapping for one specific group order, as map() fills each
+/// order it evaluates. Exposed for tests and benches. `group_order` lists
+/// group indices, each at most once (a permutation of them for a full
+/// fill); a repeated or out-of-range index throws. `engine` selects
+/// nothing (see GeoDistOptions::FillEngine).
 Mapping fill_for_order(const mapping::MappingProblem& problem,
                        const Grouping& grouping,
                        const std::vector<GroupId>& group_order,

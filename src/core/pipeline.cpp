@@ -44,10 +44,8 @@ PipelineResult Pipeline::execute(const net::CloudTopology& topo,
     col->mem().note("comm.csr", problem.comm.memory_bytes());
   build_phase.end();
 
-  GeoDistOptions mapper_options = options_.mapper;
-  if (col != nullptr && mapper_options.collector == nullptr)
-    mapper_options.collector = col;
-  GeoDistMapper mapper(mapper_options);
+  GeoDistMapper mapper(options_.mapper);
+  mapper.set_collector(col);
   {
     obs::Span s;
     obs::Phase p;

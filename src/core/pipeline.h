@@ -18,10 +18,9 @@ struct PipelineOptions {
   GeoDistOptions mapper;
 
   /// Observability (opt-in, not owned): when set, execute() wraps the
-  /// calibrate/build/map phases in wall-clock spans and hands the
-  /// collector to the mapper (unless mapper.collector is already set).
-  /// With nullptr the pipeline runs uninstrumented and its results are
-  /// bit-identical.
+  /// calibrate/build/map phases in wall-clock spans and attaches the
+  /// collector to the mapper. With nullptr the pipeline runs
+  /// uninstrumented and its results are bit-identical.
   obs::Collector* collector = nullptr;
 };
 

@@ -8,6 +8,7 @@
 
 #include "common/error.h"
 #include "fault/degraded_network.h"
+#include "mapping/cost.h"
 #include "sim/netsim.h"
 
 namespace geomap::core {
@@ -56,7 +57,7 @@ RemapResult remap_excluding(const mapping::MappingProblem& problem,
 
   RemapResult result;
   result.pre_fault_cost =
-      sim::alpha_beta_cost(problem.comm, problem.network, current);
+      mapping::alpha_beta_cost(problem.comm, problem.network, current);
 
   // Rebuild the instance as of the remap: the network view the policy
   // acts on, dead site excluded by capacity, surviving pins kept (pins to
@@ -94,17 +95,15 @@ RemapResult remap_excluding(const mapping::MappingProblem& problem,
   }
   result.problem.validate();
 
-  result.degraded_cost = sim::alpha_beta_cost(problem.comm, truth, current);
+  result.degraded_cost = mapping::alpha_beta_cost(problem.comm, truth, current);
 
-  GeoDistOptions mapper_options = options.mapper;
-  if (mapper_options.collector == nullptr)
-    mapper_options.collector = options.collector;
-  GeoDistMapper mapper(mapper_options);
+  GeoDistMapper mapper(options.mapper);
+  mapper.set_collector(options.collector);
   result.mapping = mapper.map(result.problem);
   mapping::validate_mapping(result.problem, result.mapping);
 
   result.post_remap_cost =
-      sim::alpha_beta_cost(problem.comm, truth, result.mapping);
+      mapping::alpha_beta_cost(problem.comm, truth, result.mapping);
 
   // Replay makespans: the healthy pre-fault execution of the old mapping,
   // and the recovered execution — the post-remap mapping replayed

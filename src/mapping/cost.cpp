@@ -4,20 +4,25 @@
 
 namespace geomap::mapping {
 
-Seconds CostEvaluator::total_cost(const Mapping& mapping) const {
-  const int n = p_->num_processes();
-  GEOMAP_CHECK_MSG(static_cast<int>(mapping.size()) == n,
+Seconds alpha_beta_cost(const trace::CommMatrix& comm,
+                        const net::NetworkModel& model,
+                        const Mapping& mapping) {
+  GEOMAP_CHECK_MSG(static_cast<int>(mapping.size()) == comm.num_processes(),
                    "mapping size mismatch");
   Seconds total = 0;
-  for (ProcessId i = 0; i < n; ++i) {
+  for (ProcessId i = 0; i < comm.num_processes(); ++i) {
     const SiteId si = mapping[static_cast<std::size_t>(i)];
-    const trace::CommMatrix::Row out = p_->comm.row(i);
-    for (std::size_t k = 0; k < out.size(); ++k) {
-      const SiteId sj = mapping[static_cast<std::size_t>(out.dst[k])];
-      total += edge_cost(si, sj, out.volume[k], out.count[k]);
+    const trace::CommMatrix::Row row = comm.row(i);
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      const SiteId sj = mapping[static_cast<std::size_t>(row.dst[k])];
+      total += model.message_cost(si, sj, row.count[k], row.volume[k]);
     }
   }
   return total;
+}
+
+Seconds CostEvaluator::total_cost(const Mapping& mapping) const {
+  return alpha_beta_cost(p_->comm, p_->network, mapping);
 }
 
 CostBreakdown CostEvaluator::breakdown(const Mapping& mapping) const {

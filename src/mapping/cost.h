@@ -13,6 +13,12 @@
 
 namespace geomap::mapping {
 
+/// Paper Equation (2): COST(P), the alpha-beta cost of `mapping` summed
+/// over the edges of `comm` in row order. O(nnz). `mapping` must be
+/// complete (no kUnmapped).
+Seconds alpha_beta_cost(const trace::CommMatrix& comm,
+                        const net::NetworkModel& model, const Mapping& mapping);
+
 /// COST(P) split per ordered site pair into its Equation (3) terms —
 /// the attribution view behind the mapper decision audit trail. All
 /// matrices are num_sites × num_sites, row-major, indexed [src*M + dst].
@@ -42,7 +48,7 @@ class CostEvaluator {
  public:
   explicit CostEvaluator(const MappingProblem& problem) : p_(&problem) {}
 
-  /// Full cost, O(nnz). `mapping` must be complete (no kUnmapped).
+  /// Full cost: alpha_beta_cost over the problem's pattern and network.
   Seconds total_cost(const Mapping& mapping) const;
 
   /// Full cost plus its per-site-pair alpha/beta attribution. The

@@ -255,10 +255,10 @@ class Engine {
 
   void journal(fault::MigrationEventKind kind, Seconds t, ProcessId p,
                SiteId from, SiteId to, Bytes bytes = 0) {
-    // Protocol transitions also stream to the event log (independent of
-    // record_events — the journal is the certification input, the event
-    // log the live feed). Chunk landings are dense wire traffic and stay
-    // out; the timeline series already carry them.
+    // Protocol transitions also stream to the event log (the journal is
+    // the certification input, the event log the live feed). Chunk
+    // landings are dense wire traffic and stay out; the timeline series
+    // already carry them.
     if (elog_ != nullptr && kind != fault::MigrationEventKind::kChunk) {
       const bool trouble = kind == fault::MigrationEventKind::kRollback ||
                            kind == fault::MigrationEventKind::kReplan;
@@ -309,7 +309,6 @@ class Engine {
                                                        downtime));
       if (kind != fault::MigrationEventKind::kChunk) options_.wal->sync();
     }
-    if (!options_.record_events) return;
     report_.events.push_back({kind, t, p, from, to, bytes});
   }
 
@@ -818,10 +817,8 @@ class Engine {
       }
       try {
         rebuilt.validate();
-        core::GeoDistOptions mapper_options = options_.mapper;
-        if (mapper_options.collector == nullptr)
-          mapper_options.collector = options_.collector;
-        core::GeoDistMapper mapper(mapper_options);
+        core::GeoDistMapper mapper(options_.mapper);
+        mapper.set_collector(options_.collector);
         new_target = mapper.map(rebuilt);
         mapped = true;
       } catch (const Error&) {
@@ -919,11 +916,9 @@ class Engine {
         ps.parked_at = -1;
       }
     }
-    if (options_.record_events) {
-      std::stable_sort(report_.events.begin(), report_.events.end(),
-                       [](const fault::MigrationEvent& a,
-                          const fault::MigrationEvent& b) { return a.t < b.t; });
-    }
+    std::stable_sort(report_.events.begin(), report_.events.end(),
+                     [](const fault::MigrationEvent& a,
+                        const fault::MigrationEvent& b) { return a.t < b.t; });
   }
 
   const mapping::MappingProblem& problem_;

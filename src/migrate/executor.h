@@ -108,11 +108,6 @@ struct MigrationOptions {
   /// timeline; empty keeps the plain "src->dst" labels.
   std::string timeline_label_prefix;
 
-  /// Journal protocol transitions into MigrationReport::events (the
-  /// invariant checker's input). Off saves the allocation in benches
-  /// that do not audit.
-  bool record_events = true;
-
   /// Opt-in crash consistency (not owned): with a WAL attached every
   /// protocol transition is appended as a mig_* record tagged with
   /// `wal_tenant`, and non-chunk transitions sync before the executor
@@ -193,8 +188,8 @@ struct MigrationReport {
   /// False when any process ended kAbandoned.
   bool complete = true;
 
-  /// Protocol journal (time-ordered) when record_events was set — feed
-  /// to fault::check_migration_invariants.
+  /// Protocol journal (time-ordered): every protocol transition, the
+  /// input of fault::check_migration_invariants.
   std::vector<fault::MigrationEvent> events;
 };
 

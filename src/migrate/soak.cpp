@@ -107,9 +107,7 @@ SoakCase run_soak_case(std::uint64_t seed, const SoakOptions& options) {
   SoakCase result;
   result.seed = seed;
 
-  obs::Collector* coll = options.collector != nullptr
-                             ? options.collector
-                             : options.migrate.collector;
+  obs::Collector* const coll = options.collector;
   obs::EventLog* elog = coll != nullptr ? &coll->events() : nullptr;
   const std::uint64_t seq0 = elog != nullptr ? elog->total() : 0;
 
@@ -193,8 +191,7 @@ SoakCase run_soak_case(std::uint64_t seed, const SoakOptions& options) {
   MigrationOptions mopts = options.migrate;
   mopts.bytes_per_process = options.bytes_per_process;
   mopts.chunk_bytes = options.chunk_bytes;
-  mopts.record_events = true;
-  if (mopts.collector == nullptr) mopts.collector = coll;
+  mopts.collector = coll;
   result.report = execute_migration(problem, initial, target, chaos_plan.plan,
                                     result.remap_time, mopts);
 

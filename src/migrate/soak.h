@@ -53,7 +53,8 @@ struct SoakOptions {
   /// Chaos shape (num_sites / horizon / migration window are filled in
   /// per case; the counts and severities are taken from here).
   fault::ChaosOptions chaos;
-  /// Executor knobs (bytes_per_process / chunk_bytes above win).
+  /// Executor knobs (bytes_per_process / chunk_bytes above and
+  /// `collector` below win).
   MigrationOptions migrate;
 
   /// Opt-in external observability. With a collector attached the case
@@ -62,9 +63,9 @@ struct SoakOptions {
   /// transitions, then reconstructs the case's incidents
   /// (obs::build_incidents), scores their blame against the chaos plan's
   /// truth windows (fault::score_attribution), and appends both to the
-  /// collector's incident log. nullptr — the default — keeps the
-  /// historical behavior bit-identical. Wins over migrate.collector when
-  /// both are set.
+  /// collector's incident log. The executor records into the same
+  /// collector. nullptr — the default — keeps the historical behavior
+  /// bit-identical.
   obs::Collector* collector = nullptr;
 
   void validate() const;

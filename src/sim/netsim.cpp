@@ -15,23 +15,6 @@
 
 namespace geomap::sim {
 
-Seconds alpha_beta_cost(const trace::CommMatrix& comm,
-                        const net::NetworkModel& model,
-                        const Mapping& mapping) {
-  GEOMAP_CHECK_MSG(static_cast<int>(mapping.size()) == comm.num_processes(),
-                   "mapping size mismatch");
-  Seconds total = 0;
-  for (ProcessId i = 0; i < comm.num_processes(); ++i) {
-    const SiteId si = mapping[static_cast<std::size_t>(i)];
-    const trace::CommMatrix::Row row = comm.row(i);
-    for (std::size_t k = 0; k < row.size(); ++k) {
-      const SiteId sj = mapping[static_cast<std::size_t>(row.dst[k])];
-      total += model.message_cost(si, sj, row.count[k], row.volume[k]);
-    }
-  }
-  return total;
-}
-
 namespace {
 
 // The healthy alpha/beta split of one CSR edge: `count` messages of total
@@ -585,8 +568,8 @@ double comm_improvement_percent(const trace::CommMatrix& comm,
                                 const net::NetworkModel& model,
                                 const Mapping& baseline,
                                 const Mapping& mapping) {
-  const Seconds base = alpha_beta_cost(comm, model, baseline);
-  const Seconds ours = alpha_beta_cost(comm, model, mapping);
+  const Seconds base = mapping::alpha_beta_cost(comm, model, baseline);
+  const Seconds ours = mapping::alpha_beta_cost(comm, model, mapping);
   return mapping::improvement_percent(base, ours);
 }
 

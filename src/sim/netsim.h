@@ -3,9 +3,9 @@
 //
 // Two estimators of an application's communication time under a mapping:
 //
-//  * alpha_beta_cost — the paper's own cost model, Equation (2)/(3): the
-//    sum over process pairs of AG·LT + CG/BT. This is what the paper's
-//    simulation results normalize and compare.
+//  * mapping::alpha_beta_cost — the paper's own cost model, Equation
+//    (2)/(3): the sum over process pairs of AG·LT + CG/BT. This is what
+//    the paper's simulation results normalize and compare.
 //
 //  * the contention replay — one discrete-event engine behind
 //    replay_with_contention (one application) and replay_multitenant
@@ -49,17 +49,13 @@ class Collector;
 
 namespace geomap::sim {
 
-/// Paper Equation (2): total alpha-beta communication cost of `mapping`.
-Seconds alpha_beta_cost(const trace::CommMatrix& comm,
-                        const net::NetworkModel& model, const Mapping& mapping);
-
 struct ContentionResult {
   /// Last message completion over all processes.
   Seconds makespan = 0;
   /// Busy time of the most loaded inter-site link.
   Seconds busiest_link_seconds = 0;
-  /// Sum of per-message latencies+transfer: alpha_beta_cost up to
-  /// summation order (the replay adds in pop order, alpha_beta_cost in
+  /// Sum of per-message latencies+transfer: mapping::alpha_beta_cost up
+  /// to summation order (the replay adds in pop order, alpha_beta_cost in
   /// row order), so the two agree to rounding, not bit for bit.
   Seconds total_transfer_seconds = 0;
 };

@@ -327,7 +327,6 @@ StormReport run_remap_storm(Substrate& substrate, const fault::FaultPlan& plan,
           substrate.tenants[static_cast<std::size_t>(k)].problem;
       view.capacities = ri.view_capacities;
       migrate::MigrationOptions mopts = options.migrate;
-      mopts.record_events = true;
       mopts.collector = options.collector;
       if (options.collector != nullptr)
         mopts.timeline_label_prefix = obs::tenant_label(k) + ":";
@@ -494,7 +493,6 @@ StormReport run_remap_storm(Substrate& substrate, const fault::FaultPlan& plan,
       }
 
       migrate::MigrationOptions mopts = options.migrate;
-      mopts.record_events = true;
       mopts.collector = options.collector;
       if (options.collector != nullptr)
         mopts.timeline_label_prefix = obs::tenant_label(k) + ":";

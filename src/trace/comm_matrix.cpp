@@ -155,8 +155,9 @@ CommMatrix CommMatrix::Builder::build() {
 
   // 5. The undirected view: each out-row merged with its in-row, the two
   //    directions of a pair summed (a two-term sum, so which direction
-  //    comes first cannot change its bits). A process's traffic sums its
-  //    undirected row in ascending neighbour order.
+  //    comes first cannot change its bits). It keeps no counts. A
+  //    process's traffic sums its undirected row in ascending neighbour
+  //    order.
   std::vector<std::size_t>& u = mark;
   u.assign(n + 1, 0);
   for (ProcessId i = 0; i < n_; ++i) {
@@ -166,14 +167,12 @@ CommMatrix CommMatrix::Builder::build() {
   prefix_sum(u);
   m.u_dst_.resize(u[n]);
   m.u_volume_.resize(u[n]);
-  m.u_count_.resize(u[n]);
   m.traffic_.assign(n, 0.0);
   for (ProcessId i = 0; i < n_; ++i) {
     std::size_t pos = u[at(i)];
-    merge_rows(m.row(i), m.in_row(i), [&](ProcessId j, Bytes v, double c) {
+    merge_rows(m.row(i), m.in_row(i), [&](ProcessId j, Bytes v, double) {
       m.u_dst_[pos] = j;
       m.u_volume_[pos] = v;
-      m.u_count_[pos] = c;
       ++pos;
       m.traffic_[at(i)] += v;
     });
@@ -206,7 +205,7 @@ CommMatrix::Row CommMatrix::undirected_row(ProcessId i) const {
   const std::size_t e = u_row_begin_[static_cast<std::size_t>(i) + 1];
   return Row{std::span(u_dst_).subspan(b, e - b),
              std::span(u_volume_).subspan(b, e - b),
-             std::span(u_count_).subspan(b, e - b)};
+             {}};
 }
 
 namespace {

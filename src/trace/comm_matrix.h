@@ -88,14 +88,15 @@ class CommMatrix {
   std::vector<CommEdge> edges() const;
 
   /// The undirected view i<->j used by greedy affinity updates: for each i,
-  /// neighbours j (ascending) with combined weight volume(i,j)+volume(j,i)
-  /// and count likewise. Built by build(), alongside the other two views.
+  /// neighbours j (ascending) with combined weight volume(i,j)+volume(j,i).
+  /// The view keeps no message counts: Row.count is empty. Built by
+  /// build(), alongside the other two views.
   Row undirected_row(ProcessId i) const;
 
   /// Resident bytes of the three CSR views (directed, transposed,
-  /// undirected) — what obs::MemTracker charges to the "comm.csr"
-  /// account. Deterministic for a given pattern (capacity slack excluded
-  /// on purpose).
+  /// undirected without counts) — what obs::MemTracker charges to the
+  /// "comm.csr" account. Deterministic for a given pattern (capacity slack
+  /// excluded on purpose).
   std::size_t memory_bytes() const {
     const std::size_t offsets =
         (row_begin_.size() + t_row_begin_.size() + u_row_begin_.size()) *
@@ -105,7 +106,7 @@ class CommMatrix {
     const std::size_t weights =
         (volume_.size() + t_volume_.size() + u_volume_.size()) *
             sizeof(Bytes) +
-        (count_.size() + t_count_.size() + u_count_.size()) * sizeof(double);
+        (count_.size() + t_count_.size()) * sizeof(double);
     return offsets + ids + weights + traffic_.size() * sizeof(Bytes);
   }
 
@@ -138,11 +139,10 @@ class CommMatrix {
   std::vector<ProcessId> t_src_;
   std::vector<Bytes> t_volume_;
   std::vector<double> t_count_;
-  // Undirected CSR (symmetrized weights), for affinity scans.
+  // Undirected CSR (symmetrized volumes), for affinity scans.
   std::vector<std::size_t> u_row_begin_;
   std::vector<ProcessId> u_dst_;
   std::vector<Bytes> u_volume_;
-  std::vector<double> u_count_;
 
   std::vector<Bytes> traffic_;  // per-process total undirected volume
   Bytes total_volume_ = 0;

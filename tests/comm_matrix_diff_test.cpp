@@ -1,6 +1,7 @@
 // Differential tests: CommMatrix::Builder::build's counting passes
 // against the stable three-sort oracle in comm_matrix_oracle.h. Every
-// view (ids, volumes, counts), process_traffic and both totals must match
+// view (ids, volumes, and counts where the view keeps them; the
+// undirected view keeps none), process_traffic and both totals must match
 // bit for bit — compared as bit patterns, not with ==, so not even the
 // sign of a zero may differ — on random patterns with self-messages and
 // empty rows, a single process, a pair repeated with non-integer volumes,
@@ -37,14 +38,20 @@ bool same_bits(std::span<const T> got, const std::vector<T>& want,
          std::memcmp(got.data(), want.data() + at, got.size_bytes()) == 0;
 }
 
+/// Compares row i's ids and volumes and, where the view keeps them, its
+/// counts; a view without counts must return an empty count span.
 std::string view_difference(const char* name, ProcessId i,
                             const CommMatrix::Row& got,
                             const OracleCsr::View& want) {
   const std::size_t b = want.begin[static_cast<std::size_t>(i)];
   const std::size_t e = want.begin[static_cast<std::size_t>(i) + 1];
-  if (got.size() == e - b && same_bits(got.dst, want.id, b) &&
-      same_bits(got.volume, want.volume, b) &&
-      same_bits(got.count, want.count, b)) {
+  const bool counts_match = want.count.empty()
+                                ? got.count.empty()
+                                : got.count.size() == e - b &&
+                                      same_bits(got.count, want.count, b);
+  if (got.size() == e - b && got.volume.size() == e - b &&
+      same_bits(got.dst, want.id, b) &&
+      same_bits(got.volume, want.volume, b) && counts_match) {
     return "";
   }
   return std::string(name) + "(" + std::to_string(i) + ")";

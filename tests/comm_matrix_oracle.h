@@ -22,12 +22,12 @@ struct OracleCsr {
     std::vector<std::size_t> begin;  // N + 1 row offsets
     std::vector<ProcessId> id;
     std::vector<Bytes> volume;
-    std::vector<double> count;
+    std::vector<double> count;  // empty in the undirected view
   };
   int n = 0;
   View out;         // row(i): dst ascending
   View in;          // in_row(i): src ascending
-  View undirected;  // undirected_row(i): neighbour ascending
+  View undirected;  // undirected_row(i): neighbour ascending, no counts
   std::vector<Bytes> traffic;
   Bytes total_volume = 0;
   double total_messages = 0;
@@ -91,7 +91,8 @@ inline OracleCsr oracle_csr(int n, std::vector<trace::CommEdge> messages) {
   }
 
   // Undirected: one (min, max) half per directed edge, sorted, the two
-  // directions of a pair coalesced, then scattered to both endpoints.
+  // directions of a pair coalesced, then scattered to both endpoints. The
+  // view keeps volumes only.
   std::vector<CommEdge> merged;
   {
     std::vector<CommEdge> half;
@@ -110,7 +111,6 @@ inline OracleCsr oracle_csr(int n, std::vector<trace::CommEdge> messages) {
       if (!merged.empty() && merged.back().src == e.src &&
           merged.back().dst == e.dst) {
         merged.back().volume += e.volume;
-        merged.back().count += e.count;
       } else {
         merged.push_back(e);
       }
@@ -128,14 +128,12 @@ inline OracleCsr oracle_csr(int n, std::vector<trace::CommEdge> messages) {
   for (std::size_t i = 1; i < u.begin.size(); ++i) u.begin[i] += u.begin[i - 1];
   u.id.resize(u.begin.back());
   u.volume.resize(u.begin.back());
-  u.count.resize(u.begin.back());
   std::vector<std::size_t> cursor(u.begin.begin(), u.begin.end() - 1);
   for (const CommEdge& e : merged) {
     const auto put = [&](ProcessId from, ProcessId to) {
       const std::size_t pos = cursor[slot(from)]++;
       u.id[pos] = to;
       u.volume[pos] = e.volume;
-      u.count[pos] = e.count;
     };
     put(e.src, e.dst);
     put(e.dst, e.src);

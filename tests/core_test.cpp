@@ -1,6 +1,7 @@
-// Tests for the paper's algorithm: k-means grouping, Algorithm 1 fill
-// engines (naive == heap property), order search, Monte Carlo sampling
-// and the end-to-end pipeline.
+// Tests for the paper's algorithm: k-means grouping, the Algorithm 1
+// heap fill and order search against the paper's loop in
+// geodist_fill_oracle.h, Monte Carlo sampling and the end-to-end
+// pipeline.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <set>
 #include <string>
 
+#include "apps/app.h"
 #include "common/error.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -17,6 +19,7 @@
 #include "core/grouping.h"
 #include "core/montecarlo.h"
 #include "core/pipeline.h"
+#include "geodist_fill_oracle.h"
 #include "mapping/cost.h"
 #include "mapping/random_mapper.h"
 #include "obs/collector.h"
@@ -25,7 +28,15 @@
 namespace geomap::core {
 namespace {
 
+using testutil::oracle_fill_for_order;
+using testutil::plain_enumeration;
 using testutil::random_problem;
+
+/// The heap fill, as map() runs it.
+Mapping heap_fill(const mapping::MappingProblem& p, const Grouping& g,
+                  const std::vector<GroupId>& order) {
+  return fill_for_order(p, g, order, GeoDistOptions::FillEngine::kHeap);
+}
 
 TEST(Grouping, SingletonWhenKappaCoversAllSites) {
   const std::vector<net::GeoCoordinate> coords = {
@@ -90,8 +101,8 @@ mapping::MappingProblem with_zero_byte_messages(mapping::MappingProblem p,
   return p;
 }
 
-// The central implementation property: the heap-accelerated fill engine
-// reproduces the paper's naive O(N^2) loop pick-for-pick.
+// The central implementation property: the heap fill reproduces the
+// paper's O(N^2) loop pick for pick.
 class FillEngineEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(FillEngineEquivalence, HeapMatchesNaiveExactly) {
@@ -105,17 +116,38 @@ TEST_P(FillEngineEquivalence, HeapMatchesNaiveExactly) {
     std::vector<GroupId> order(static_cast<std::size_t>(g.num_groups));
     for (int i = 0; i < g.num_groups; ++i) order[static_cast<std::size_t>(i)] = i;
     do {
-      const Mapping naive = fill_for_order(
-          p, g, order, GeoDistOptions::FillEngine::kNaive);
-      const Mapping heap =
-          fill_for_order(p, g, order, GeoDistOptions::FillEngine::kHeap);
-      EXPECT_EQ(naive, heap);
+      EXPECT_EQ(heap_fill(p, g, order), oracle_fill_for_order(p, g, order));
     } while (std::next_permutation(order.begin(), order.end()));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FillEngineEquivalence,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// The same property at the size of the map_many_sites benchmark pattern:
+// K-means at N = 4096 on the 4-region AWS cloud, one group per region
+// (kappa = 4), 20 % of the processes pinned, under four of the 24 group
+// orders.
+TEST(FillEngineEquivalence, KMeansAtBenchmarkScale) {
+  const int n = 4096;
+  const net::CloudTopology topo(net::aws_experiment_profile(n / 4));
+  const apps::App& app = apps::app_by_name("K-means");
+  mapping::MappingProblem p;
+  p.comm = app.synthetic_pattern(n, app.default_config(n));
+  p.network = net::NetworkModel::from_ground_truth(topo);
+  p.capacities = topo.capacities();
+  p.site_coords = topo.coordinates();
+  Rng rng(4096);
+  p.constraints = mapping::make_random_constraints(n, p.capacities, 0.2, rng);
+  p.validate();
+  const Grouping g = group_sites(p.site_coords, 4);
+  ASSERT_EQ(g.num_groups, 4);
+  for (const std::vector<GroupId>& order :
+       {std::vector<GroupId>{0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3, 0, 2},
+        {2, 0, 3, 1}}) {
+    EXPECT_EQ(heap_fill(p, g, order), oracle_fill_for_order(p, g, order));
+  }
+}
 
 TEST(FillEngines, AgreeUnderAllowedSiteSets) {
   for (const std::uint64_t seed : {4ULL, 9ULL, 14ULL}) {
@@ -135,12 +167,9 @@ TEST(FillEngines, AgreeUnderAllowedSiteSets) {
     std::vector<GroupId> order(static_cast<std::size_t>(g.num_groups));
     std::iota(order.begin(), order.end(), 0);
     do {
-      const Mapping naive =
-          fill_for_order(p, g, order, GeoDistOptions::FillEngine::kNaive);
-      const Mapping heap =
-          fill_for_order(p, g, order, GeoDistOptions::FillEngine::kHeap);
-      EXPECT_EQ(naive, heap) << "seed " << seed;
-      EXPECT_NO_THROW(mapping::validate_mapping(p, naive));
+      const Mapping oracle = oracle_fill_for_order(p, g, order);
+      EXPECT_EQ(heap_fill(p, g, order), oracle) << "seed " << seed;
+      EXPECT_NO_THROW(mapping::validate_mapping(p, oracle));
     } while (std::next_permutation(order.begin(), order.end()));
   }
 }
@@ -159,7 +188,7 @@ net::NetworkModel uniform_network(std::size_t sites) {
 }
 
 // The heap fill reads a site's pinned residents from the fill plan; they
-// must add their affinities in id order, as the naive scan does, because
+// must add their affinities in id order, as the oracle's scan does, because
 // the rounding of a sum depends on the order of its terms. Process 3
 // borders residents 0, 1, 2 with 2^63, 2^10, 2^10 bytes: in id order the
 // small terms round away and 3 loses to process 4's 2^63 + 2^11; in any
@@ -178,11 +207,9 @@ TEST(FillEngines, PinnedResidentsAddAffinityInIdOrder) {
   p.constraints = {0, 0, 0, kUnconstrained, kUnconstrained, kUnconstrained, 1};
   p.validate();
   const Grouping g = singleton_groups(2);
-  const Mapping naive =
-      fill_for_order(p, g, {0, 1}, GeoDistOptions::FillEngine::kNaive);
-  EXPECT_EQ(naive, (Mapping{0, 0, 0, 1, 0, 0, 1}));
-  EXPECT_EQ(fill_for_order(p, g, {0, 1}, GeoDistOptions::FillEngine::kHeap),
-            naive);
+  const Mapping oracle = oracle_fill_for_order(p, g, {0, 1});
+  EXPECT_EQ(oracle, (Mapping{0, 0, 0, 1, 0, 0, 1}));
+  EXPECT_EQ(heap_fill(p, g, {0, 1}), oracle);
 }
 
 /// A problem over a synthetic world of `sites` sites for the search's
@@ -234,37 +261,16 @@ mapping::MappingProblem search_problem(int sites, int n, double pin_ratio,
   return with_zero_byte_messages(std::move(p), seed + 1);
 }
 
-/// The search's oracle: fill every order from scratch with the naive
-/// engine and keep the first cheapest by total_cost.
-Mapping plain_enumeration(const mapping::MappingProblem& p,
-                          const Grouping& grouping, bool search_orders) {
-  const mapping::CostEvaluator eval(p);
-  std::vector<GroupId> order(static_cast<std::size_t>(grouping.num_groups));
-  std::iota(order.begin(), order.end(), 0);
-  Mapping best;
-  Seconds best_cost = 0;
-  do {
-    Mapping m =
-        fill_for_order(p, grouping, order, GeoDistOptions::FillEngine::kNaive);
-    const Seconds cost = eval.total_cost(m);
-    if (best.empty() || cost < best_cost) {
-      best = std::move(m);
-      best_cost = cost;
-    }
-  } while (search_orders && std::next_permutation(order.begin(), order.end()));
-  return best;
-}
-
 struct RestoreWorkers {
   ~RestoreWorkers() { set_parallel_workers(0); }
 };
 
-/// map() on `p` for both engines under 1-4 workers, with the order search
-/// on and off and in hierarchical mode. The flat results must equal plain
-/// enumeration's. The hierarchical mode, whose levels run the same search,
-/// must agree across engines and workers; with allowed-site sets it can
-/// throw on a feasible problem (a level-2 sub-problem can be infeasible),
-/// and then it must throw alike everywhere.
+/// map() on `p` under 1-4 workers, with the order search on and off and in
+/// hierarchical mode. The flat results must equal plain enumeration's. The
+/// hierarchical mode, whose levels run the same search, must agree across
+/// workers; with allowed-site sets it can throw on a feasible problem (a
+/// level-2 sub-problem can be infeasible), and then it must throw alike
+/// everywhere.
 void expect_search_matches_enumeration(const mapping::MappingProblem& p,
                                        int kappa) {
   for (const int variant : {0, 1, 2}) {
@@ -274,38 +280,32 @@ void expect_search_matches_enumeration(const mapping::MappingProblem& p,
     options.hierarchical = variant == 2;
     Mapping expected;
     std::string expected_error;
-    bool first = true;
-    for (const auto engine : {GeoDistOptions::FillEngine::kNaive,
-                              GeoDistOptions::FillEngine::kHeap}) {
-      options.fill = engine;
-      for (std::size_t workers = 1; workers <= 4; ++workers) {
-        set_parallel_workers(workers);
-        GeoDistMapper mapper(options);
-        Mapping got;
-        std::string error;
-        try {
-          got = mapper.map(p);
-        } catch (const Error& e) {
-          error = e.what();
-        }
-        if (first) {
-          first = false;
-          ASSERT_TRUE(variant == 2 || error.empty()) << error;
-          expected_error = error;
-          expected = variant == 2 ? got
-                                  : plain_enumeration(p, mapper.last_grouping(),
-                                                      options.search_orders);
-        }
-        ASSERT_EQ(error, expected_error);
-        ASSERT_EQ(got, expected) << "kappa " << kappa << " variant " << variant
-                                 << " workers " << workers;
+    for (std::size_t workers = 1; workers <= 4; ++workers) {
+      set_parallel_workers(workers);
+      GeoDistMapper mapper(options);
+      Mapping got;
+      std::string error;
+      try {
+        got = mapper.map(p);
+      } catch (const Error& e) {
+        error = e.what();
       }
+      if (workers == 1) {
+        ASSERT_TRUE(variant == 2 || error.empty()) << error;
+        expected_error = error;
+        expected = variant == 2 ? got
+                                : plain_enumeration(p, mapper.last_grouping(),
+                                                    options.search_orders);
+      }
+      ASSERT_EQ(error, expected_error);
+      ASSERT_EQ(got, expected) << "kappa " << kappa << " variant " << variant
+                               << " workers " << workers;
     }
   }
 }
 
-// The depth-first order search, whatever its split and engine, returns
-// what plain enumeration of every order returns.
+// The depth-first order search, whatever its split, returns what plain
+// enumeration of every order returns.
 TEST(GeoDist, SearchMatchesPlainEnumeration) {
   const RestoreWorkers restore_workers;
   std::uint64_t seed = 100;
@@ -353,8 +353,9 @@ TEST(GeoDist, GroupFillsCountEachPrefixOnce) {
       obs::Collector collector;
       GeoDistOptions options;
       options.kappa = kappa;
-      options.collector = &collector;
-      (void)GeoDistMapper(options).map(p);
+      GeoDistMapper geo(options);
+      geo.set_collector(&collector);
+      (void)geo.map(p);
       const obs::PhaseSnapshot root = collector.profile().snapshot();
       ASSERT_EQ(root.children.size(), 1u);
       const obs::PhaseSnapshot& mapper = root.children.front();

@@ -368,9 +368,9 @@ Artifacts run_workload_once() {
   collector.set_meta(obs::make_run_meta("determinism_test", 7, true));
 
   const mapping::MappingProblem problem = sim_problem(32);
-  core::GeoDistOptions options;
-  options.collector = &collector;
-  const Mapping mapped = core::GeoDistMapper(options).map(problem);
+  core::GeoDistMapper mapper;
+  mapper.set_collector(&collector);
+  const Mapping mapped = mapper.map(problem);
   (void)sim::replay_with_contention(problem.comm, problem.network, mapped,
                                     &collector, "test/replay");
 

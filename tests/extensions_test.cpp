@@ -101,6 +101,12 @@ struct MapperCase {
   std::function<std::unique_ptr<Mapper>()> make;
 };
 
+// Printed by name: without a printer gtest dumps the case's bytes, its
+// name's heap pointer first, into the test names.
+void PrintTo(const MapperCase& mapper_case, std::ostream* os) {
+  *os << mapper_case.name;
+}
+
 const MapperCase kAllowedCases[] = {
     {"Baseline", [] { return std::make_unique<RandomMapper>(); }},
     {"Block", [] { return std::make_unique<BlockMapper>(); }},
@@ -110,12 +116,6 @@ const MapperCase kAllowedCases[] = {
     {"Annealing", [] { return std::make_unique<AnnealingMapper>(); }},
     {"GeoDistributed",
      [] { return std::make_unique<core::GeoDistMapper>(); }},
-    {"GeoDistNaive",
-     [] {
-       core::GeoDistOptions opts;
-       opts.fill = core::GeoDistOptions::FillEngine::kNaive;
-       return std::make_unique<core::GeoDistMapper>(opts);
-     }},
 };
 
 class AllowedSitesMappers

@@ -13,7 +13,6 @@
 #include "net/calibration.h"
 #include "net/cloud.h"
 #include "runtime/comm.h"
-#include "sim/netsim.h"
 #include "test_util.h"
 
 namespace geomap {
@@ -134,7 +133,7 @@ TEST(Integration, AnalyticCostTracksRuntimeCommTimeOrdering) {
                                          baseline.map(problem)};
   std::vector<double> analytic, measured;
   for (const Mapping& m : mappings) {
-    analytic.push_back(sim::alpha_beta_cost(comm, model, m));
+    analytic.push_back(mapping::alpha_beta_cost(comm, model, m));
     runtime::Runtime rt(model, m, topo.instance().gflops);
     measured.push_back(
         rt.run([&](runtime::Comm& c) { (void)lu.run(c, cfg); }).makespan);

@@ -287,9 +287,8 @@ mapping::MappingProblem test_problem(int ranks) {
 TEST(Audit, DecompositionReproducesCostModel) {
   const mapping::MappingProblem problem = test_problem(32);
   obs::Collector collector;
-  core::GeoDistOptions options;
-  options.collector = &collector;
-  core::GeoDistMapper mapper(options);
+  core::GeoDistMapper mapper;
+  mapper.set_collector(&collector);
   (void)mapper.map(problem);
 
   const std::vector<obs::MapCallRecord> calls = collector.audit().calls();
@@ -354,9 +353,8 @@ TEST(Audit, BreakdownTotalBitIdenticalToTotalCost) {
 TEST(Audit, WriteJsonIsWellFormed) {
   const mapping::MappingProblem problem = test_problem(16);
   obs::Collector collector;
-  core::GeoDistOptions options;
-  options.collector = &collector;
-  core::GeoDistMapper mapper(options);
+  core::GeoDistMapper mapper;
+  mapper.set_collector(&collector);
   (void)mapper.map(problem);
   std::ostringstream os;
   collector.write_audit_json(os);
@@ -372,9 +370,9 @@ TEST(Collector, MapperDecisionsUnchangedByCollector) {
   const mapping::MappingProblem problem = test_problem(32);
   const Mapping plain = core::GeoDistMapper().map(problem);
   obs::Collector collector;
-  core::GeoDistOptions options;
-  options.collector = &collector;
-  const Mapping audited = core::GeoDistMapper(options).map(problem);
+  core::GeoDistMapper audited_mapper;
+  audited_mapper.set_collector(&collector);
+  const Mapping audited = audited_mapper.map(problem);
   EXPECT_EQ(plain, audited);
 }
 

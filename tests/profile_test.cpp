@@ -146,9 +146,9 @@ TEST(PhaseProfiler, DeterministicProfileJsonIsByteIdentical) {
     obs::Collector collector;
     collector.profile().set_deterministic(true);
     collector.mem().set_deterministic(true);
-    core::GeoDistOptions options;
-    options.collector = &collector;
-    (void)core::GeoDistMapper(options).map(problem);
+    core::GeoDistMapper geo;
+    geo.set_collector(&collector);
+    (void)geo.map(problem);
     std::ostringstream profile, collapsed;
     collector.write_profile_json(profile);
     collector.write_profile_collapsed(collapsed);
@@ -179,9 +179,9 @@ TEST(PhaseProfiler, DeterministicProfileJsonIsByteIdentical) {
 TEST(PhaseProfiler, MapperPhaseCarriesWorkCountersAndMemoryAccounts) {
   const mapping::MappingProblem problem = profile_test_problem(32);
   obs::Collector collector;
-  core::GeoDistOptions options;
-  options.collector = &collector;
-  (void)core::GeoDistMapper(options).map(problem);
+  core::GeoDistMapper geo;
+  geo.set_collector(&collector);
+  (void)geo.map(problem);
 
   const obs::PhaseSnapshot root = collector.profile().snapshot();
   const obs::PhaseSnapshot* mapper =
@@ -208,9 +208,10 @@ TEST(PhaseProfiler, ProgressHeartbeatReachesOneDeterministically) {
   const mapping::MappingProblem problem = profile_test_problem(32);
   obs::Collector collector;
   core::GeoDistOptions options;
-  options.collector = &collector;
   options.parallel_orders = true;
-  (void)core::GeoDistMapper(options).map(problem);
+  core::GeoDistMapper geo(options);
+  geo.set_collector(&collector);
+  (void)geo.map(problem);
   // set_max keeps the exported gauge monotone under parallel evaluation:
   // the final value is exactly 1.0 no matter the completion order.
   EXPECT_EQ(collector.metrics().gauge("mapper.progress").value(), 1.0);
@@ -298,9 +299,9 @@ TEST(Collector, AuditOptOutKeepsMappingBitIdentical) {
 
   obs::Collector lean;
   lean.set_audit_enabled(false);
-  core::GeoDistOptions options;
-  options.collector = &lean;
-  const Mapping observed = core::GeoDistMapper(options).map(problem);
+  core::GeoDistMapper geo;
+  geo.set_collector(&lean);
+  const Mapping observed = geo.map(problem);
   EXPECT_EQ(plain, observed);
   EXPECT_TRUE(lean.audit().empty());
   // The always-on set still recorded the search.

@@ -456,7 +456,6 @@ TEST(RecoverCodecTest, ExecutorWalJournalRoundTripsAndRebuilds) {
   migrate::MigrationOptions options;
   options.bytes_per_process = 10.0 * kMiB;
   options.chunk_bytes = 1.0 * kMiB;
-  options.record_events = true;
   options.wal = &wal;
   options.wal_tenant = 5;
   const migrate::MigrationReport report =
