@@ -40,7 +40,7 @@ net::NetworkModel strip_model(const net::NetworkModel& model, bool keep_alpha,
 }  // namespace
 
 int main(int argc, char** argv) {
-  CliParser cli("Ablation: cost-model terms and fill engines");
+  CliParser cli("Ablation: cost-model terms and the paper's order search");
   cli.add_int("ranks", 128, "number of processes");
   cli.add_int("seed", 2017, "random seed");
   cli.add_bool("csv", false, "emit CSV");
