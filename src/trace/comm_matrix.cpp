@@ -32,7 +32,7 @@ void prefix_sum(std::vector<std::size_t>& v) {
 }
 
 /// Visits the union of two rows, both ascending by id, in ascending id
-/// order; an id present in both gets the sum of its two weights.
+/// order; an id present in both gets the sum of its two volumes.
 template <typename Emit>
 void merge_rows(const CommMatrix::Row& a, const CommMatrix::Row& b,
                 Emit&& emit) {
@@ -40,13 +40,13 @@ void merge_rows(const CommMatrix::Row& a, const CommMatrix::Row& b,
   std::size_t j = 0;
   while (i < a.size() || j < b.size()) {
     if (j == b.size() || (i < a.size() && a.dst[i] < b.dst[j])) {
-      emit(a.dst[i], a.volume[i], a.count[i]);
+      emit(a.dst[i], a.volume[i]);
       ++i;
     } else if (i == a.size() || b.dst[j] < a.dst[i]) {
-      emit(b.dst[j], b.volume[j], b.count[j]);
+      emit(b.dst[j], b.volume[j]);
       ++j;
     } else {
-      emit(a.dst[i], a.volume[i] + b.volume[j], a.count[i] + b.count[j]);
+      emit(a.dst[i], a.volume[i] + b.volume[j]);
       ++i;
       ++j;
     }
@@ -162,7 +162,7 @@ CommMatrix CommMatrix::Builder::build() {
   u.assign(n + 1, 0);
   for (ProcessId i = 0; i < n_; ++i) {
     merge_rows(m.row(i), m.in_row(i),
-               [&](ProcessId, Bytes, double) { ++u[at(i) + 1]; });
+               [&](ProcessId, Bytes) { ++u[at(i) + 1]; });
   }
   prefix_sum(u);
   m.u_dst_.resize(u[n]);
@@ -170,7 +170,7 @@ CommMatrix CommMatrix::Builder::build() {
   m.traffic_.assign(n, 0.0);
   for (ProcessId i = 0; i < n_; ++i) {
     std::size_t pos = u[at(i)];
-    merge_rows(m.row(i), m.in_row(i), [&](ProcessId j, Bytes v, double) {
+    merge_rows(m.row(i), m.in_row(i), [&](ProcessId j, Bytes v) {
       m.u_dst_[pos] = j;
       m.u_volume_[pos] = v;
       ++pos;

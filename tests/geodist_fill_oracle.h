@@ -2,10 +2,10 @@
 // The paper's Algorithm 1 fill as the O(N²) loop it spells out, kept as
 // the differential oracle of GeoDistMapper's heap fill, and the plain
 // enumeration of every group order that the mapper's depth-first order
-// search replaces. Each site's visit order is sorted by the live free
-// capacities, the residents a site already holds are found by a scan, and
-// every pick after a site's seed scans all unselected processes for the
-// most affinity, lowest id first.
+// search replaces. A group's sites are sorted by their free capacities
+// when its turn comes, the residents a site already holds are found by a
+// scan, and every pick after a site's seed scans all unselected processes
+// for the most affinity, lowest id first.
 
 #include <algorithm>
 #include <numeric>
