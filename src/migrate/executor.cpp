@@ -35,6 +35,23 @@ void MigrationOptions::validate() const {
                    "prepare_timeout must be positive, got " << prepare_timeout);
 }
 
+void emit_migration_event(obs::EventLog& log, const fault::MigrationEvent& e,
+                          Seconds downtime) {
+  // Chunk landings are dense wire traffic; the timeline series carry them.
+  if (e.kind == fault::MigrationEventKind::kChunk) return;
+  const bool trouble = e.kind == fault::MigrationEventKind::kRollback ||
+                       e.kind == fault::MigrationEventKind::kReplan;
+  std::vector<obs::EventField> fields;
+  fields.reserve(4);
+  fields.push_back(obs::field("process", e.process));
+  fields.push_back(obs::field("from", e.site_from));
+  fields.push_back(obs::field("to", e.site_to));
+  if (e.kind == fault::MigrationEventKind::kCommit && e.process >= 0)
+    fields.push_back(obs::field("downtime", downtime));
+  log.emit(e.t, trouble ? obs::EventSeverity::kWarn : obs::EventSeverity::kInfo,
+           "migrate", fault::to_string(e.kind), std::move(fields));
+}
+
 const char* to_string(ProcessOutcome outcome) {
   switch (outcome) {
     case ProcessOutcome::kStayed:
@@ -255,24 +272,11 @@ class Engine {
 
   void journal(fault::MigrationEventKind kind, Seconds t, ProcessId p,
                SiteId from, SiteId to, Bytes bytes = 0) {
-    // Protocol transitions also stream to the event log (the journal is
-    // the certification input, the event log the live feed). Chunk
-    // landings are dense wire traffic and stay out; the timeline series
-    // already carry them.
-    if (elog_ != nullptr && kind != fault::MigrationEventKind::kChunk) {
-      const bool trouble = kind == fault::MigrationEventKind::kRollback ||
-                           kind == fault::MigrationEventKind::kReplan;
-      std::vector<obs::EventField> fields;
-      fields.reserve(4);
-      fields.push_back(obs::field("process", p));
-      fields.push_back(obs::field("from", from));
-      fields.push_back(obs::field("to", to));
-      if (kind == fault::MigrationEventKind::kCommit && p >= 0)
-        fields.push_back(obs::field("downtime", record(p).downtime));
-      elog_->emit(t,
-                  trouble ? obs::EventSeverity::kWarn : obs::EventSeverity::kInfo,
-                  "migrate", fault::to_string(kind), std::move(fields));
-    }
+    const fault::MigrationEvent e{kind, t, p, from, to, bytes};
+    const bool commit = kind == fault::MigrationEventKind::kCommit;
+    const Seconds downtime = commit && p >= 0 ? record(p).downtime : 0.0;
+    // The journal is the certification input, the event log the live feed.
+    if (elog_ != nullptr) emit_migration_event(*elog_, e, downtime);
     if (options_.wal != nullptr) {
       // Non-chunk transitions sync so the record is durable before the
       // engine acts on it. Chunk records ride along with the next sync —
@@ -299,17 +303,15 @@ class Engine {
           wtype = recover::WalRecordType::kMigReplan;
           break;
       }
-      std::optional<Seconds> downtime;
-      if (kind == fault::MigrationEventKind::kCommit) {
-        downtime = p >= 0 ? record(p).downtime : 0.0;
-      }
+      std::optional<Seconds> wal_downtime;
+      if (commit) wal_downtime = downtime;
       options_.wal->append(wtype, t,
                            recover::encode_mig_payload(options_.wal_tenant, p,
                                                        from, to, bytes,
-                                                       downtime));
+                                                       wal_downtime));
       if (kind != fault::MigrationEventKind::kChunk) options_.wal->sync();
     }
-    report_.events.push_back({kind, t, p, from, to, bytes});
+    report_.events.push_back(e);
   }
 
   void note_activity(Seconds t) { migration_finish_ = std::max(migration_finish_, t); }

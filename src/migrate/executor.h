@@ -48,6 +48,7 @@
 
 namespace geomap::obs {
 class Collector;
+class EventLog;
 }
 
 namespace geomap::recover {
@@ -192,6 +193,13 @@ struct MigrationReport {
   /// input of fault::check_migration_invariants.
   std::vector<fault::MigrationEvent> events;
 };
+
+/// The streamed "migrate/<kind>" event of one journaled transition
+/// (`downtime`: the committed process's cutover blackout, read for
+/// commits only). Chunk landings are not streamed. The executor emits
+/// it live; crash recovery re-emits it from the mig_* records.
+void emit_migration_event(obs::EventLog& log, const fault::MigrationEvent& e,
+                          Seconds downtime);
 
 /// Carry out `target` starting from `current` at virtual time
 /// `start_time`, under `plan`. The application's communication

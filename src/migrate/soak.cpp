@@ -102,6 +102,20 @@ runtime::RunResult run_app(const mapping::MappingProblem& problem,
 
 }  // namespace
 
+void emit_detect_decision(obs::EventLog& log, Seconds t, bool detected,
+                          bool suspected_correct, SiteId suspect,
+                          SiteId failed_site, Seconds outage_time) {
+  log.emit(t,
+           suspected_correct ? obs::EventSeverity::kInfo
+                             : obs::EventSeverity::kWarn,
+           "soak", "detect",
+           {obs::field("detected", detected),
+            obs::field("suspected_correct", suspected_correct),
+            obs::field("suspect", suspect),
+            obs::field("failed_site", failed_site),
+            obs::field("outage_time", outage_time)});
+}
+
 SoakCase run_soak_case(std::uint64_t seed, const SoakOptions& options) {
   options.validate();
   SoakCase result;
@@ -175,15 +189,10 @@ SoakCase run_soak_case(std::uint64_t seed, const SoakOptions& options) {
     target = oracle.mapping;
   }
   if (elog != nullptr) {
-    elog->emit(result.remap_time,
-               result.suspected_correct ? obs::EventSeverity::kInfo
-                                        : obs::EventSeverity::kWarn,
-               "soak", "detect",
-               {obs::field("detected", result.detected),
-                obs::field("suspected_correct", result.suspected_correct),
-                obs::field("suspect", suspect),
-                obs::field("failed_site", chaos_plan.primary_site),
-                obs::field("outage_time", chaos_plan.primary_outage_time)});
+    emit_detect_decision(*elog, result.remap_time, result.detected,
+                         result.suspected_correct, suspect,
+                         chaos_plan.primary_site,
+                         chaos_plan.primary_outage_time);
   }
 
   // 5. Execute the recovery under the same chaos plan and certify the

@@ -109,6 +109,14 @@ struct SoakReport {
   bool ok() const { return total_violations == 0; }
 };
 
+/// The streamed "soak/detect" event: the detection decision a soak acted
+/// on, stamped at `t`, the instant it acted. This soak and the
+/// multi-tenant soak both announce it, and crash recovery re-emits the
+/// multi-tenant soak's from its WAL record (recover::emit_detect_decision).
+void emit_detect_decision(obs::EventLog& log, Seconds t, bool detected,
+                          bool suspected_correct, SiteId suspect,
+                          SiteId failed_site, Seconds outage_time);
+
 /// Run one seeded case of the full loop. Deterministic up to the
 /// threaded runtime's link-queueing order (the invariants must hold for
 /// every ordering; the checker runs on the actual journal).

@@ -59,13 +59,7 @@ DegradationDetector::LinkState& DegradationDetector::state(SiteId src,
   return links_[{src, dst}];
 }
 
-namespace {
-
-/// WAL payload for an episode boundary: the fields re-emission needs to
-/// reproduce the streamed event exactly (recover/records.cpp decodes).
-std::string episode_payload(const DegradationEvent& e, Seconds end) {
-  std::ostringstream os;
-  JsonWriter w(os, /*pretty=*/false);
+void write_episode(JsonWriter& w, const DegradationEvent& e, Seconds end) {
   w.begin_object();
   w.field("src", e.src);
   w.field("dst", e.dst);
@@ -76,40 +70,54 @@ std::string episode_payload(const DegradationEvent& e, Seconds end) {
   w.field("severity", e.severity);
   w.field("confidence", e.confidence);
   w.end_object();
+}
+
+void emit_detector_onset(EventLog& log, const DegradationEvent& e) {
+  log.emit(e.detect_vtime, EventSeverity::kWarn, "detector", "onset",
+           {field("src", e.src), field("dst", e.dst),
+            field("kind", to_string(e.kind)), field("onset", e.onset_vtime),
+            field("latency", std::max(0.0, e.detect_vtime - e.onset_vtime)),
+            field("severity", e.severity),
+            field("confidence", e.confidence)});
+}
+
+void emit_detector_clear(EventLog& log, const DegradationEvent& e) {
+  log.emit(e.end_vtime, EventSeverity::kInfo, "detector", "clear",
+           {field("src", e.src), field("dst", e.dst),
+            field("kind", to_string(e.kind)),
+            field("duration", std::max(0.0, e.end_vtime - e.onset_vtime)),
+            field("severity", e.severity),
+            field("confidence", e.confidence)});
+}
+
+namespace {
+
+/// WAL payload of an episode boundary (recover/records.cpp decodes it).
+std::string episode_payload(const DegradationEvent& e, Seconds end) {
+  std::ostringstream os;
+  JsonWriter w(os, /*pretty=*/false);
+  write_episode(w, e, end);
   return os.str();
 }
 
 }  // namespace
 
-void DegradationDetector::emit_onset(const DegradationEvent& e) {
+void DegradationDetector::log_onset(const DegradationEvent& e) {
   if (wal_ != nullptr) {
     wal_->append(recover::WalRecordType::kDetectorOnset, e.detect_vtime,
                  episode_payload(e, kInf));
     wal_->sync();
   }
-  if (event_log_ == nullptr) return;
-  event_log_->emit(e.detect_vtime, EventSeverity::kWarn, "detector", "onset",
-                   {field("src", e.src), field("dst", e.dst),
-                    field("kind", to_string(e.kind)),
-                    field("onset", e.onset_vtime),
-                    field("latency", std::max(0.0, e.detect_vtime - e.onset_vtime)),
-                    field("severity", e.severity),
-                    field("confidence", e.confidence)});
+  if (event_log_ != nullptr) emit_detector_onset(*event_log_, e);
 }
 
-void DegradationDetector::emit_clear(const DegradationEvent& e, Seconds t) {
+void DegradationDetector::log_clear(const DegradationEvent& e) {
   if (wal_ != nullptr) {
-    wal_->append(recover::WalRecordType::kDetectorClear, t,
-                 episode_payload(e, t));
+    wal_->append(recover::WalRecordType::kDetectorClear, e.end_vtime,
+                 episode_payload(e, e.end_vtime));
     wal_->sync();
   }
-  if (event_log_ == nullptr) return;
-  event_log_->emit(t, EventSeverity::kInfo, "detector", "clear",
-                   {field("src", e.src), field("dst", e.dst),
-                    field("kind", to_string(e.kind)),
-                    field("duration", std::max(0.0, t - e.onset_vtime)),
-                    field("severity", e.severity),
-                    field("confidence", e.confidence)});
+  if (event_log_ != nullptr) emit_detector_clear(*event_log_, e);
 }
 
 void DegradationDetector::maybe_close_down(LinkState& s, Seconds t) {
@@ -117,7 +125,7 @@ void DegradationDetector::maybe_close_down(LinkState& s, Seconds t) {
   if (t - s.last_down_signal <= options_.down_quiet) return;
   DegradationEvent& open = events_[static_cast<std::size_t>(s.open_down)];
   open.end_vtime = s.last_down_signal + options_.down_quiet;
-  emit_clear(open, open.end_vtime);
+  log_clear(open);
   s.open_down = -1;
   s.recent_retries.clear();
 }
@@ -163,7 +171,7 @@ void DegradationDetector::observe_latency_ratio(SiteId src, SiteId dst,
       e.confidence = std::min(1.0, s.cusum / (2 * h));
       s.open_latency = static_cast<std::ptrdiff_t>(events_.size());
       events_.push_back(e);
-      emit_onset(e);
+      log_onset(e);
     }
     return;
   }
@@ -173,7 +181,7 @@ void DegradationDetector::observe_latency_ratio(SiteId src, SiteId dst,
   open.confidence = std::max(open.confidence, std::min(1.0, s.cusum / (2 * h)));
   if (s.cusum <= options_.clear_fraction * h) {
     open.end_vtime = t;
-    emit_clear(open, t);
+    log_clear(open);
     s.open_latency = -1;
     s.cusum = 0;
     s.excursion_start = -1;
@@ -220,7 +228,7 @@ void DegradationDetector::observe_retry(SiteId src, SiteId dst, Seconds t,
     s.open_down = static_cast<std::ptrdiff_t>(events_.size());
     s.last_down_signal = t;
     events_.push_back(e);
-    emit_onset(e);
+    log_onset(e);
   }
 }
 
@@ -246,7 +254,7 @@ void DegradationDetector::observe_timeout(SiteId src, SiteId dst, Seconds t) {
   s.open_down = static_cast<std::ptrdiff_t>(events_.size());
   s.last_down_signal = t;
   events_.push_back(e);
-  emit_onset(e);
+  log_onset(e);
 }
 
 void DegradationDetector::scan(const TimeSeriesRegistry& timeline) {

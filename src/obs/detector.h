@@ -42,6 +42,10 @@
 #include "obs/eventlog.h"
 #include "obs/timeseries.h"
 
+namespace geomap {
+class JsonWriter;
+}
+
 namespace geomap::recover {
 class Wal;
 }
@@ -209,8 +213,10 @@ class DegradationDetector {
   LinkState& state(SiteId src, SiteId dst);
   void maybe_close_down(LinkState& s, Seconds t);
 
-  void emit_onset(const DegradationEvent& e);
-  void emit_clear(const DegradationEvent& e, Seconds t);
+  /// WAL record (with a WAL attached) then streamed event (with a log
+  /// attached) of an episode's onset, and of its close at end_vtime.
+  void log_onset(const DegradationEvent& e);
+  void log_clear(const DegradationEvent& e);
 
   DetectorOptions options_;
   std::map<std::pair<SiteId, SiteId>, LinkState> links_;
@@ -218,6 +224,21 @@ class DegradationDetector {
   EventLog* event_log_ = nullptr;
   recover::Wal* wal_ = nullptr;
 };
+
+/// An episode as one JSON object — src, dst, kind, onset, detect, end
+/// (only when finite) and severity, confidence: the payload of the
+/// detector's WAL records and of recover::encode_detector_episode, and
+/// each episode of a detector checkpoint in a WAL snapshot.
+void write_episode(JsonWriter& w, const DegradationEvent& e, Seconds end);
+
+/// The streamed "detector/onset" event of episode `e`, stamped at its
+/// detection and carrying the detection latency detect − onset. The
+/// detector emits it live; crash recovery re-emits it from the WAL.
+void emit_detector_onset(EventLog& log, const DegradationEvent& e);
+
+/// The streamed "detector/clear" event of closed episode `e`, stamped at
+/// its end_vtime.
+void emit_detector_clear(EventLog& log, const DegradationEvent& e);
 
 /// Extract every link.latency_ratio / link.retry / link.timeout point
 /// from a registry as one stream in a deterministic total order —

@@ -13,16 +13,18 @@
 //   * the WAL is replayed (recover::replay_wal); the case checks the
 //     run identity, seeds a new WAL generation with the sanitized
 //     history behind a recovery_begin marker, and re-emits the
-//     already-announced events into the fresh event log;
+//     already-announced events into the fresh event log through the
+//     emitters the live run calls (recover::reemit_events);
 //   * the detector is restored from the latest snapshot's checkpoint and
 //     re-fed from its sample watermark (pre-decision crashes) or skipped
 //     entirely, observation replay included, in favour of the durable
 //     decision record (post-decision);
-//   * the storm continues via tenancy::build_storm_resume: finished
+//   * the storm (tenancy::run_remap_storm) reads the replayed control
+//     plane itself: requeues and give-ups restore the queue, finished
 //     grants are replayed into the ledgers, an interrupted grant is
-//     redone idempotently from its recorded decision inputs, and the
-//     driver checks that the redone journal extends the durable prefix
-//     field-for-field (no double commit, no lost grant);
+//     redone from its sched_grant record through the live grant step,
+//     and the driver checks that the redone journal extends the durable
+//     prefix field-for-field (no double commit, no lost grant);
 //   * everything deterministic (substrate, calibration, chaos plan,
 //     telemetry) is recomputed from the seed, so the resumed case's
 //     final events / incidents / fairness match the uninterrupted run's.

@@ -206,98 +206,42 @@ RecoveredControlPlane replay_wal(const std::vector<WalRecord>& records) {
 }
 
 void reemit_events(const RecoveredControlPlane& rcp, obs::EventLog& elog) {
-  using obs::EventSeverity;
-  using obs::field;
   for (const HistRecord& h : rcp.effective) {
     switch (h.type) {
-      case WalRecordType::kDetectorOnset: {
-        const obs::DegradationEvent e =
-            decode_detector_episode(h.payload).event;
-        elog.emit(e.detect_vtime, EventSeverity::kWarn, "detector", "onset",
-                  {field("src", e.src), field("dst", e.dst),
-                   field("kind", obs::to_string(e.kind)),
-                   field("onset", e.onset_vtime),
-                   field("latency",
-                         std::max(0.0, e.detect_vtime - e.onset_vtime)),
-                   field("severity", e.severity),
-                   field("confidence", e.confidence)});
+      case WalRecordType::kDetectorOnset:
+        obs::emit_detector_onset(elog,
+                                 decode_detector_episode(h.payload).event);
         break;
-      }
-      case WalRecordType::kDetectorClear: {
-        const obs::DegradationEvent e =
-            decode_detector_episode(h.payload).event;
-        elog.emit(h.t, EventSeverity::kInfo, "detector", "clear",
-                  {field("src", e.src), field("dst", e.dst),
-                   field("kind", obs::to_string(e.kind)),
-                   field("duration", std::max(0.0, h.t - e.onset_vtime)),
-                   field("severity", e.severity),
-                   field("confidence", e.confidence)});
+      case WalRecordType::kDetectorClear:
+        obs::emit_detector_clear(elog,
+                                 decode_detector_episode(h.payload).event);
         break;
-      }
-      case WalRecordType::kDetectDecision: {
-        const DetectDecisionRecord d = decode_detect_decision(h.payload);
-        elog.emit(h.t,
-                  d.suspected_correct ? EventSeverity::kInfo
-                                      : EventSeverity::kWarn,
-                  "soak", "detect",
-                  {field("detected", d.detected),
-                   field("suspected_correct", d.suspected_correct),
-                   field("suspect", d.suspect),
-                   field("failed_site", d.failed_site),
-                   field("outage_time", d.outage_time)});
+      case WalRecordType::kDetectDecision:
+        emit_detect_decision(elog, decode_detect_decision(h.payload));
         break;
-      }
-      case WalRecordType::kSchedRequest: {
-        const SchedRequestRecord r = decode_sched_request(h.payload);
-        elog.emit(r.request_time, EventSeverity::kInfo, "scheduler", "queue",
-                  {field("tenant", r.tenant), field("severity", r.severity)});
+      case WalRecordType::kSchedRequest:
+        emit_sched_request(elog, decode_sched_request(h.payload));
         break;
-      }
-      case WalRecordType::kSchedFinish: {
-        const SchedFinishRecord f = decode_sched_finish(h.payload);
-        elog.emit(f.granted_at, EventSeverity::kInfo, "scheduler", "grant",
-                  {field("tenant", f.tenant),
-                   field("queue_wait", f.queue_wait),
-                   field("attempts", f.attempts),
-                   field("migration_seconds", f.migration_seconds)});
+      case WalRecordType::kSchedFinish:
+        emit_sched_finish(elog, decode_sched_finish(h.payload));
         break;
-      }
-      case WalRecordType::kSchedRequeue: {
-        const SchedRequeueRecord r = decode_sched_requeue(h.payload);
-        elog.emit(r.t, EventSeverity::kWarn, "scheduler", "requeue",
-                  {field("tenant", r.tenant), field("attempts", r.attempts),
-                   field("next_eligible", r.next_eligible)});
+      case WalRecordType::kSchedRequeue:
+        emit_sched_requeue(elog, decode_sched_requeue(h.payload));
         break;
-      }
-      case WalRecordType::kSchedGiveUp: {
-        const SchedGiveUpRecord r = decode_sched_give_up(h.payload);
-        elog.emit(r.t, EventSeverity::kError, "scheduler", "give_up",
-                  {field("tenant", r.tenant), field("attempts", r.attempts)});
+      case WalRecordType::kSchedGiveUp:
+        emit_sched_give_up(elog, decode_sched_give_up(h.payload));
         break;
-      }
       case WalRecordType::kMigReserve:
       case WalRecordType::kMigRelease:
       case WalRecordType::kMigCommit:
       case WalRecordType::kMigRollback:
       case WalRecordType::kMigReplan: {
-        const MigRecord m = decode_mig(h.type, h.payload);
-        const fault::MigrationEventKind kind = m.event.kind;
-        const bool trouble = kind == fault::MigrationEventKind::kRollback ||
-                             kind == fault::MigrationEventKind::kReplan;
-        std::vector<obs::EventField> fields;
-        fields.reserve(4);
-        fields.push_back(field("process", m.event.process));
-        fields.push_back(field("from", m.event.site_from));
-        fields.push_back(field("to", m.event.site_to));
-        if (kind == fault::MigrationEventKind::kCommit &&
-            m.event.process >= 0)
-          fields.push_back(field("downtime", m.downtime));
-        elog.emit(h.t,
-                  trouble ? EventSeverity::kWarn : EventSeverity::kInfo,
-                  "migrate", fault::to_string(kind), std::move(fields));
+        MigRecord m = decode_mig(h.type, h.payload);
+        m.event.t = h.t;
+        migrate::emit_migration_event(elog, m.event, m.downtime);
         break;
       }
-      case WalRecordType::kMigChunk:  // never streamed live either
+      case WalRecordType::kMigChunk:  // never streamed: not worth decoding
       case WalRecordType::kRunBegin:
       case WalRecordType::kSchedGrant:
       case WalRecordType::kRunEnd:

@@ -6,8 +6,8 @@
 // history to what they embed, recovery_begin markers sanitize it the
 // same way the live recovery did — and decodes the result into a
 // RecoveredControlPlane: the detector checkpoint + sample watermark to
-// re-arm from, the detection decision, the queue / grant / in-flight
-// state the scheduler resumes, and the sanitized effective history that
+// re-arm from, the detection decision, the requests, requeues, give-ups
+// and grants the storm resumes from, and the sanitized effective history that
 // seeds the next WAL generation (so its snapshots keep folding the
 // pre-crash past).
 //
@@ -29,11 +29,14 @@
 //     (journal_prefix_consistent), which is exactly the
 //     no-double-commit / no-lost-grant guarantee.
 //
-// reemit_events() streams the sanitized history back into an event log
-// with field-for-field parity with the live emissions, in WAL append
-// order (== live emission order), so a recovered run's events.jsonl is
-// byte-identical to the uninterrupted run's under deterministic
-// profiles.
+// reemit_events() streams the sanitized history back into an event log,
+// in WAL append order (== live emission order), through the emitters
+// the live run calls (obs::emit_detector_onset / emit_detector_clear,
+// migrate::emit_migration_event, and the emit_* of recover/records.h),
+// so a recovered run's events.jsonl is byte-identical to the
+// uninterrupted run's under deterministic profiles.
+// tenancy::run_remap_storm reads the queue, grant and in-flight state
+// straight from the RecoveredControlPlane.
 
 #include <cstdint>
 #include <string>
@@ -97,10 +100,9 @@ struct RecoveredControlPlane {
 /// Throws WalCorrupt when a CRC-valid record fails to decode.
 RecoveredControlPlane replay_wal(const std::vector<WalRecord>& records);
 
-/// Re-emit the sanitized history's streamed events into `elog`,
-/// field-for-field identical to the live emissions and in the same
-/// order. Chunk records stay silent (live chunk journaling never
-/// streamed either).
+/// Re-emit the sanitized history's streamed events into `elog` through
+/// the live run's emitters, in the same order. Chunk records stay silent
+/// (live chunk journaling never streams either).
 void reemit_events(const RecoveredControlPlane& rcp, obs::EventLog& elog);
 
 /// True when `prefix` is an exact field-for-field prefix of the redone

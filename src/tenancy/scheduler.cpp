@@ -8,6 +8,7 @@
 #include "common/error.h"
 #include "obs/collector.h"
 #include "recover/records.h"
+#include "recover/recovery.h"
 #include "recover/wal.h"
 
 namespace geomap::tenancy {
@@ -116,7 +117,7 @@ StormReport run_remap_storm(Substrate& substrate, const fault::FaultPlan& plan,
                             SiteId failed_site,
                             const std::vector<RemapRequest>& requests,
                             const SchedulerOptions& options,
-                            const StormResume* resume) {
+                            const recover::RecoveredControlPlane* resume) {
   options.validate();
   const int m = substrate.num_sites();
   GEOMAP_CHECK_ARG(failed_site >= 0 && failed_site < m,
@@ -143,64 +144,43 @@ StormReport run_remap_storm(Substrate& substrate, const fault::FaultPlan& plan,
     report.recoveries.push_back(std::move(rec));
     t0 = std::min(t0, r.request_time);
   }
+  // A crashed predecessor's durable sched_request records must be a
+  // prefix of the (deterministically recomputed) request list.
+  const std::size_t durable = resume != nullptr ? resume->requests.size() : 0;
+  GEOMAP_CHECK_ARG(durable <= requests.size(),
+                   "WAL holds " << durable << " remap requests, the "
+                                << "recomputed case produces only "
+                                << requests.size());
+  for (std::size_t i = 0; i < durable; ++i) {
+    GEOMAP_CHECK_ARG(resume->requests[i].tenant == requests[i].tenant,
+                     "WAL request " << i << " names tenant "
+                                    << resume->requests[i].tenant
+                                    << ", recomputed case expects "
+                                    << requests[i].tenant);
+  }
   if (pending.empty()) return report;
 
   obs::TimeSeriesRegistry* timeline =
       options.collector != nullptr ? &options.collector->timeline() : nullptr;
   obs::EventLog* elog =
       options.collector != nullptr ? &options.collector->events() : nullptr;
-  // Requests a crashed predecessor already made durable are neither
-  // logged nor announced again: recovery re-emits their queue events from
-  // the sched_request records, in the original order.
-  const std::size_t durable =
-      resume != nullptr ? resume->durable_requests : 0;
-  if (options.wal != nullptr && durable < pending.size()) {
-    for (std::size_t i = durable; i < pending.size(); ++i) {
-      recover::SchedRequestRecord r;
-      r.tenant = pending[i].request.tenant;
-      r.request_time = pending[i].request.request_time;
-      r.severity = pending[i].request.severity;
+  // The durable requests are neither logged nor announced again:
+  // recovery re-emits their queue events from the WAL, in order.
+  std::vector<recover::SchedRequestRecord> queued;
+  for (std::size_t i = durable; i < requests.size(); ++i) {
+    queued.push_back(
+        {requests[i].tenant, requests[i].request_time, requests[i].severity});
+  }
+  if (options.wal != nullptr && !queued.empty()) {
+    for (const recover::SchedRequestRecord& r : queued) {
       options.wal->append(recover::WalRecordType::kSchedRequest,
                           r.request_time, recover::encode_sched_request(r));
     }
     options.wal->sync();
   }
   if (elog != nullptr) {
-    for (std::size_t i = durable; i < pending.size(); ++i) {
-      elog->emit(pending[i].request.request_time, obs::EventSeverity::kInfo,
-                 "scheduler", "queue",
-                 {obs::field("tenant", pending[i].request.tenant),
-                  obs::field("severity", pending[i].request.severity)});
-    }
-  }
-
-  if (resume != nullptr) {
-    GEOMAP_CHECK_ARG(resume->pending.size() == pending.size(),
-                     "storm resume has " << resume->pending.size()
-                                         << " queue entries for "
-                                         << pending.size() << " requests");
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      const ResumePending& rp = resume->pending[i];
-      PendingRequest& p = pending[i];
-      GEOMAP_CHECK_ARG(rp.tenant == p.request.tenant,
-                       "storm resume queue entry " << i << " names tenant "
-                                                   << rp.tenant << ", expected "
-                                                   << p.request.tenant);
-      p.attempts = rp.attempts;
-      p.next_eligible = std::max(p.next_eligible, rp.next_eligible);
-      p.done = rp.done;
-      TenantRecovery& rec = report.recoveries[p.slot];
-      rec.attempts = rp.attempts;
-      if (rp.gave_up) rec.gave_up = true;
-    }
-    report.requeues = resume->requeues;
-    report.gave_up = resume->gave_up;
-    if (options.collector != nullptr) {
-      for (int i = 0; i < resume->requeues; ++i)
-        options.collector->metrics().counter("tenant.requeues").add();
-      for (int i = 0; i < resume->gave_up; ++i)
-        options.collector->metrics().counter("tenant.gave_up").add();
-    }
+    for (const recover::SchedRequestRecord& r : queued)
+      recover::emit_sched_request(*elog, r);
   }
 
   std::vector<double> consumed(
@@ -257,130 +237,154 @@ StormReport run_remap_storm(Substrate& substrate, const fault::FaultPlan& plan,
     }
   };
 
-  const auto pending_of = [&](int tenant) -> PendingRequest& {
-    for (PendingRequest& p : pending) {
-      if (p.request.tenant == tenant) return p;
+  // The ledger halves of the three outcomes of a grant attempt: what a
+  // durable record replays after a crash, and what the live attempt
+  // books before it announces the record and logs it. They are the only
+  // writers of a request's outcome and of last_activity.
+  const auto book_requeue = [&](PendingRequest& p,
+                                const recover::SchedRequeueRecord& rq) {
+    p.attempts = rq.attempts;
+    p.next_eligible = rq.next_eligible;
+    report.recoveries[p.slot].attempts = rq.attempts;
+    last_activity = std::max(last_activity, rq.t);
+    report.requeues += 1;
+    if (options.collector != nullptr)
+      options.collector->metrics().counter("tenant.requeues").add();
+  };
+  const auto book_give_up = [&](PendingRequest& p,
+                                const recover::SchedGiveUpRecord& gu) {
+    TenantRecovery& rec = report.recoveries[p.slot];
+    p.attempts = gu.attempts;
+    p.done = true;
+    rec.attempts = gu.attempts;
+    rec.gave_up = true;
+    last_activity = std::max(last_activity, gu.t);
+    report.gave_up += 1;
+    if (options.collector != nullptr)
+      options.collector->metrics().counter("tenant.gave_up").add();
+  };
+  // A grant at `at` of the migration from `at_grant`: its outcome, the
+  // grant order, the fair-share spend, the in-flight capacity charge
+  // until its finish (retire_until then commits the final mapping) and
+  // the tenant.* series.
+  const auto book_grant = [&](PendingRequest& p, Seconds at,
+                              const Mapping& at_grant,
+                              migrate::MigrationReport migration)
+      -> const TenantRecovery& {
+    const int k = p.request.tenant;
+    TenantRecovery& rec = report.recoveries[p.slot];
+    rec.attempts = p.attempts;
+    rec.granted = true;
+    rec.granted_at = at;
+    rec.report = std::move(migration);
+    rec.finish_time = at + rec.report.migration_seconds;
+    p.done = true;
+    report.grant_order.push_back(k);
+    last_activity = std::max(last_activity, rec.finish_time);
+    if (options.policy == SchedulerPolicy::kFairShare)
+      consumed[static_cast<std::size_t>(k)] += grant_cost(k);
+
+    InFlight f;
+    f.tenant = k;
+    f.finish = rec.finish_time;
+    f.peak = journal_peaks(rec.report.events, at_grant, m);
+    f.final_mapping = rec.report.final_mapping;
+    inflight.push_back(std::move(f));
+
+    if (timeline != nullptr) {
+      const std::string label = obs::tenant_label(k);
+      timeline->series("tenant.queue_wait", label)
+          .record(at, at - p.request.request_time);
+      timeline->series("tenant.grant_attempts", label)
+          .record(at, static_cast<double>(p.attempts));
     }
-    GEOMAP_CHECK_ARG(false, "storm resume names tenant "
-                                << tenant << " that filed no request");
-    return pending.front();  // unreachable
+    return rec;
+  };
+  // The grant step, live or redone after a crash: execute the migration
+  // toward `target` under the capacity view, book it, announce it and
+  // close it in the WAL. The executor gets the *view* (failed site's
+  // capacity intact — residents legitimately still live there while
+  // leaving), not the remap's rebuilt problem, which zeroes it.
+  const auto grant = [&](PendingRequest& p, Seconds at,
+                         const mapping::MappingProblem& view,
+                         const Mapping& at_grant, const Mapping& target) {
+    const int k = p.request.tenant;
+    migrate::MigrationOptions mopts = options.migrate;
+    mopts.collector = options.collector;
+    if (options.collector != nullptr)
+      mopts.timeline_label_prefix = obs::tenant_label(k) + ":";
+    mopts.wal = options.wal;
+    mopts.wal_tenant = k;
+    const TenantRecovery& rec =
+        book_grant(p, at, at_grant,
+                   execute_migration(view, at_grant, target, plan, at, mopts));
+    recover::SchedFinishRecord fin;
+    fin.tenant = k;
+    fin.granted_at = at;
+    fin.finish_time = rec.finish_time;
+    fin.migration_seconds = rec.report.migration_seconds;
+    fin.queue_wait = at - p.request.request_time;
+    fin.attempts = p.attempts;
+    fin.final_mapping = rec.report.final_mapping;
+    if (elog != nullptr) recover::emit_sched_finish(*elog, fin);
+    if (options.wal != nullptr) {
+      options.wal->append(recover::WalRecordType::kSchedFinish,
+                          rec.finish_time, recover::encode_sched_finish(fin));
+      options.wal->sync();
+    }
   };
 
   if (resume != nullptr) {
-    last_activity = std::max(last_activity, resume->last_activity);
-
-    // Replay finished grants into the ledgers — grant order, fair-share
-    // spend, and the in-flight capacity charges with their real finish
-    // times, so the remaining queue sees exactly the occupancy the
-    // uninterrupted run would have at every instant. Their migrations
-    // are not re-executed; retire_until commits the recorded final
-    // mappings as virtual time passes.
-    for (const ResumeFinished& rf : resume->finished) {
-      PendingRequest& p = pending_of(rf.tenant);
-      GEOMAP_CHECK_ARG(p.done, "storm resume finished grant for tenant "
-                                   << rf.tenant
-                                   << " whose queue entry is not done");
-      p.attempts = rf.attempts;
-      TenantRecovery& rec = report.recoveries[p.slot];
-      rec.attempts = rf.attempts;
-      rec.granted = true;
-      rec.granted_at = rf.granted_at;
-      rec.report = rf.report;
-      rec.finish_time = rf.granted_at + rf.report.migration_seconds;
-      report.grant_order.push_back(rf.tenant);
-      if (options.policy == SchedulerPolicy::kFairShare)
-        consumed[static_cast<std::size_t>(rf.tenant)] += grant_cost(rf.tenant);
-      InFlight f;
-      f.tenant = rf.tenant;
-      f.finish = rec.finish_time;
-      f.peak = journal_peaks(rf.report.events, rf.at_grant, m);
-      f.final_mapping = rf.report.final_mapping;
-      inflight.push_back(std::move(f));
-      if (timeline != nullptr) {
-        const std::string label = obs::tenant_label(rf.tenant);
-        timeline->series("tenant.queue_wait", label)
-            .record(rf.granted_at, rf.granted_at - p.request.request_time);
-        timeline->series("tenant.grant_attempts", label)
-            .record(rf.granted_at, static_cast<double>(rf.attempts));
+    const auto pending_of = [&](int tenant) -> PendingRequest& {
+      for (PendingRequest& p : pending) {
+        if (p.request.tenant == tenant) return p;
       }
+      GEOMAP_CHECK_ARG(false, "WAL names tenant " << tenant
+                                                  << " that filed no request");
+      return pending.front();  // unreachable
+    };
+    // A requeue pending at the crash keeps its backoff timer at the
+    // recorded instant, so it fires exactly once after recovery.
+    for (const recover::SchedRequeueRecord& rq : resume->requeues)
+      book_requeue(pending_of(rq.tenant), rq);
+    for (const recover::SchedGiveUpRecord& gu : resume->give_ups)
+      book_give_up(pending_of(gu.tenant), gu);
+    // Finished grants replay into the ledgers, in grant order, without
+    // re-executing their migrations, so the remaining queue sees exactly
+    // the occupancy the uninterrupted run would have at every instant.
+    for (const recover::RecoveredGrant& g : resume->grants) {
+      if (!g.finished) continue;
+      PendingRequest& p = pending_of(g.grant.tenant);
+      p.attempts = g.grant.attempts;
+      migrate::MigrationReport migration = recover::rebuild_migration_report(
+          g.migs, g.grant.current, g.grant.target, g.grant.granted_at,
+          g.finish.finish_time);
+      // The finish record is authoritative where the journal alone is
+      // lossy (idle grants, rounding).
+      migration.migration_seconds = g.finish.migration_seconds;
+      migration.final_mapping = g.finish.final_mapping;
+      book_grant(p, g.grant.granted_at, g.grant.current, std::move(migration));
     }
-
-    // Redo the interrupted grant idempotently: same grant instant, same
-    // attempt count, the recorded capacity view and remap target — the
-    // executor is deterministic, so the redone journal extends the
-    // durable prefix instead of double-committing. No new sched_grant
-    // record is written (the original is durable); the finish record and
-    // the streamed grant event land now.
-    if (resume->interrupted.active) {
-      const ResumeInterrupted& ri = resume->interrupted;
-      const int k = ri.tenant;
-      PendingRequest& p = pending_of(k);
-      GEOMAP_CHECK_ARG(!p.done, "storm resume interrupted grant for tenant "
-                                    << k << " whose queue entry is done");
-      p.attempts = ri.attempts;
-      TenantRecovery& rec = report.recoveries[p.slot];
-      rec.attempts = ri.attempts;
-      now = std::max(now, ri.granted_at);
-      last_activity = std::max(last_activity, ri.granted_at);
-
+    // The interrupted grant is redone idempotently from its durable
+    // sched_grant record: same grant instant, attempt count, capacity
+    // view and remap target. The executor is deterministic, so the redone
+    // journal extends the durable prefix instead of double-committing.
+    // No new sched_grant record is written; the finish record and the
+    // streamed grant event land now.
+    if (resume->has_interrupted) {
+      const recover::SchedGrantRecord& g = resume->grants.back().grant;
+      PendingRequest& p = pending_of(g.tenant);
+      GEOMAP_CHECK_ARG(!p.done, "WAL holds an open grant for tenant "
+                                    << g.tenant
+                                    << " whose request is already closed");
+      p.attempts = g.attempts;
+      now = std::max(now, g.granted_at);
       mapping::MappingProblem view =
-          substrate.tenants[static_cast<std::size_t>(k)].problem;
-      view.capacities = ri.view_capacities;
-      migrate::MigrationOptions mopts = options.migrate;
-      mopts.collector = options.collector;
-      if (options.collector != nullptr)
-        mopts.timeline_label_prefix = obs::tenant_label(k) + ":";
-      mopts.wal = options.wal;
-      mopts.wal_tenant = k;
-      rec.report = execute_migration(view, ri.at_grant, ri.target, plan,
-                                     ri.granted_at, mopts);
-      rec.granted = true;
-      rec.granted_at = ri.granted_at;
-      rec.finish_time = ri.granted_at + rec.report.migration_seconds;
-      p.done = true;
-      report.grant_order.push_back(k);
-      last_activity = std::max(last_activity, rec.finish_time);
-      if (options.policy == SchedulerPolicy::kFairShare)
-        consumed[static_cast<std::size_t>(k)] += grant_cost(k);
-
-      InFlight f;
-      f.tenant = k;
-      f.finish = rec.finish_time;
-      f.peak = journal_peaks(rec.report.events, ri.at_grant, m);
-      f.final_mapping = rec.report.final_mapping;
-      inflight.push_back(std::move(f));
-
-      if (timeline != nullptr) {
-        const std::string label = obs::tenant_label(k);
-        timeline->series("tenant.queue_wait", label)
-            .record(ri.granted_at, ri.granted_at - p.request.request_time);
-        timeline->series("tenant.grant_attempts", label)
-            .record(ri.granted_at, static_cast<double>(ri.attempts));
-      }
-      if (elog != nullptr) {
-        elog->emit(ri.granted_at, obs::EventSeverity::kInfo, "scheduler",
-                   "grant",
-                   {obs::field("tenant", k),
-                    obs::field("queue_wait",
-                               ri.granted_at - p.request.request_time),
-                    obs::field("attempts", ri.attempts),
-                    obs::field("migration_seconds",
-                               rec.report.migration_seconds)});
-      }
-      if (options.wal != nullptr) {
-        recover::SchedFinishRecord fin;
-        fin.tenant = k;
-        fin.granted_at = ri.granted_at;
-        fin.finish_time = rec.finish_time;
-        fin.migration_seconds = rec.report.migration_seconds;
-        fin.queue_wait = ri.granted_at - p.request.request_time;
-        fin.attempts = ri.attempts;
-        fin.final_mapping = rec.report.final_mapping;
-        options.wal->append(recover::WalRecordType::kSchedFinish,
-                            rec.finish_time,
-                            recover::encode_sched_finish(fin));
-        options.wal->sync();
-      }
+          substrate.tenants[static_cast<std::size_t>(g.tenant)].problem;
+      view.capacities.clear();
+      for (const double c : g.view_capacities)
+        view.capacities.push_back(static_cast<int>(c));
+      grant(p, g.granted_at, view, g.current, g.target);
     }
   }
 
@@ -441,10 +445,7 @@ StormReport run_remap_storm(Substrate& substrate, const fault::FaultPlan& plan,
     PendingRequest& p = pending[static_cast<std::size_t>(pick)];
     const int k = p.request.tenant;
     Tenant& tenant = substrate.tenants[static_cast<std::size_t>(k)];
-    TenantRecovery& rec = report.recoveries[p.slot];
     p.attempts += 1;
-    rec.attempts = p.attempts;
-    last_activity = std::max(last_activity, now);
 
     // Conservative capacity view: shared capacity minus every other
     // tenant's committed residents, minus every in-flight tenant's peak
@@ -491,101 +492,23 @@ StormReport run_remap_storm(Substrate& substrate, const fault::FaultPlan& plan,
                             recover::encode_sched_grant(g));
         options.wal->sync();
       }
-
-      migrate::MigrationOptions mopts = options.migrate;
-      mopts.collector = options.collector;
-      if (options.collector != nullptr)
-        mopts.timeline_label_prefix = obs::tenant_label(k) + ":";
-      mopts.wal = options.wal;
-      mopts.wal_tenant = k;
-      // The executor gets the *view* (failed site's capacity intact —
-      // residents legitimately still live there while leaving), not the
-      // remap's rebuilt problem, which zeroes it.
-      rec.report = execute_migration(view, tenant.mapping, remap.mapping,
-                                     plan, now, mopts);
-      rec.granted = true;
-      rec.granted_at = now;
-      rec.finish_time = now + rec.report.migration_seconds;
-      p.done = true;
-      report.grant_order.push_back(k);
-      last_activity = std::max(last_activity, rec.finish_time);
-      if (options.policy == SchedulerPolicy::kFairShare)
-        consumed[static_cast<std::size_t>(k)] += grant_cost(k);
-
-      InFlight f;
-      f.tenant = k;
-      f.finish = rec.finish_time;
-      f.peak = journal_peaks(rec.report.events, tenant.mapping, m);
-      f.final_mapping = rec.report.final_mapping;
-      inflight.push_back(std::move(f));
-
-      if (timeline != nullptr) {
-        const std::string label = obs::tenant_label(k);
-        timeline->series("tenant.queue_wait", label)
-            .record(now, now - p.request.request_time);
-        timeline->series("tenant.grant_attempts", label)
-            .record(now, static_cast<double>(p.attempts));
-      }
-      if (elog != nullptr) {
-        elog->emit(now, obs::EventSeverity::kInfo, "scheduler", "grant",
-                   {obs::field("tenant", k),
-                    obs::field("queue_wait", now - p.request.request_time),
-                    obs::field("attempts", p.attempts),
-                    obs::field("migration_seconds",
-                               rec.report.migration_seconds)});
-      }
-      if (options.wal != nullptr) {
-        recover::SchedFinishRecord fin;
-        fin.tenant = k;
-        fin.granted_at = now;
-        fin.finish_time = rec.finish_time;
-        fin.migration_seconds = rec.report.migration_seconds;
-        fin.queue_wait = now - p.request.request_time;
-        fin.attempts = p.attempts;
-        fin.final_mapping = rec.report.final_mapping;
-        options.wal->append(recover::WalRecordType::kSchedFinish,
-                            rec.finish_time,
-                            recover::encode_sched_finish(fin));
-        options.wal->sync();
-      }
+      grant(p, now, view, tenant.mapping, remap.mapping);
     } catch (const core::RemapInfeasible&) {
       if (p.attempts >= options.retry.max_attempts) {
-        p.done = true;
-        rec.gave_up = true;
-        report.gave_up += 1;
-        if (options.collector != nullptr)
-          options.collector->metrics().counter("tenant.gave_up").add();
-        if (elog != nullptr) {
-          elog->emit(now, obs::EventSeverity::kError, "scheduler", "give_up",
-                     {obs::field("tenant", k),
-                      obs::field("attempts", p.attempts)});
-        }
+        const recover::SchedGiveUpRecord gu{k, now, p.attempts};
+        book_give_up(p, gu);
+        if (elog != nullptr) recover::emit_sched_give_up(*elog, gu);
         if (options.wal != nullptr) {
-          recover::SchedGiveUpRecord gu;
-          gu.tenant = k;
-          gu.t = now;
-          gu.attempts = p.attempts;
           options.wal->append(recover::WalRecordType::kSchedGiveUp, now,
                               recover::encode_sched_give_up(gu));
           options.wal->sync();
         }
       } else {
-        p.next_eligible = now + options.retry.backoff(p.attempts);
-        report.requeues += 1;
-        if (options.collector != nullptr)
-          options.collector->metrics().counter("tenant.requeues").add();
-        if (elog != nullptr) {
-          elog->emit(now, obs::EventSeverity::kWarn, "scheduler", "requeue",
-                     {obs::field("tenant", k),
-                      obs::field("attempts", p.attempts),
-                      obs::field("next_eligible", p.next_eligible)});
-        }
+        const recover::SchedRequeueRecord rq{
+            k, now, p.attempts, now + options.retry.backoff(p.attempts)};
+        book_requeue(p, rq);
+        if (elog != nullptr) recover::emit_sched_requeue(*elog, rq);
         if (options.wal != nullptr) {
-          recover::SchedRequeueRecord rq;
-          rq.tenant = k;
-          rq.t = now;
-          rq.attempts = p.attempts;
-          rq.next_eligible = p.next_eligible;
           options.wal->append(recover::WalRecordType::kSchedRequeue, now,
                               recover::encode_sched_requeue(rq));
           options.wal->sync();

@@ -45,7 +45,8 @@ class Collector;
 
 namespace geomap::recover {
 class Wal;
-}
+struct RecoveredControlPlane;
+}  // namespace geomap::recover
 
 namespace geomap::tenancy {
 
@@ -130,89 +131,28 @@ struct StormReport {
   int gave_up = 0;
 };
 
-// -- Crash recovery: resuming a half-drained storm --------------------------
-
-/// Recovered queue state of one original request (same order as the
-/// `requests` argument).
-struct ResumePending {
-  int tenant = -1;
-  /// Grant attempts already consumed (redo does not re-increment).
-  int attempts = 0;
-  /// Pending backoff timer: the request becomes grantable again at this
-  /// instant — a timer pending at the crash fires exactly once after
-  /// recovery, never twice.
-  Seconds next_eligible = 0;
-  bool done = false;
-  bool gave_up = false;
-};
-
-/// A grant whose sched_finish record is durable: replayed into the
-/// storm's bookkeeping (grant order, in-flight ledger, fair-share
-/// spend) without re-executing the migration.
-struct ResumeFinished {
-  int tenant = -1;
-  Seconds granted_at = 0;
-  int attempts = 0;
-  /// Mapping the grant started from (the sched_grant record's
-  /// `current`) — seeds the in-flight peak ledger.
-  Mapping at_grant;
-  /// Journal + outcome rebuilt from the durable mig_*/sched_finish
-  /// records (recover::rebuild_migration_report).
-  migrate::MigrationReport report;
-};
-
-/// A grant that was durable (sched_grant written) but unfinished at the
-/// crash: the storm redoes it first, deterministically, from the
-/// recorded decision inputs — same grant time, same attempt count, no
-/// new sched_grant record.
-struct ResumeInterrupted {
-  bool active = false;
-  int tenant = -1;
-  Seconds granted_at = 0;
-  int attempts = 0;
-  Mapping at_grant;
-  Mapping target;
-  /// The conservative capacity view the original grant carved.
-  std::vector<int> view_capacities;
-};
-
-struct StormResume {
-  /// One entry per original request, in request order.
-  std::vector<ResumePending> pending;
-  /// Leading requests whose sched_request record is already durable.
-  /// Recovery re-emits their queue events; the storm logs and announces
-  /// only the requests after them.
-  std::size_t durable_requests = 0;
-  /// Finished grants in WAL (= grant) order.
-  std::vector<ResumeFinished> finished;
-  ResumeInterrupted interrupted;
-  /// Requeues / give-ups already counted before the crash.
-  int requeues = 0;
-  int gave_up = 0;
-  /// Latest scheduler activity before the crash (grants, finishes,
-  /// requeues) — keeps storm_drain_seconds equal to the uninterrupted
-  /// run's.
-  Seconds last_activity = 0;
-};
-
 /// Drain a remap storm: grant requests per the policy, execute each
 /// granted migration under `plan` with a conservative capacity view, and
 /// commit the resulting mappings back into `substrate`. Deterministic:
 /// identical (substrate, plan, requests, options) produce byte-identical
 /// reports and journals. Requests must name distinct valid tenants.
 ///
-/// With `resume` non-null the storm continues a crashed predecessor:
-/// finished grants are replayed into the ledgers (their migrations are
-/// NOT re-executed and the durable requests' queue events are not
-/// re-emitted — recovery re-emits them from the WAL), an interrupted
-/// grant is redone idempotently, and the remaining queue drains
+/// With `resume` non-null the storm continues a crashed predecessor
+/// from its replayed WAL (recover::replay_wal): the durable
+/// sched_request records must be a prefix of `requests` (their queue
+/// events are not re-emitted — recovery re-emits them from the WAL),
+/// requeues and give-ups restore the queue state (a backoff timer
+/// pending at the crash fires once, at its recorded instant), finished
+/// grants are replayed into the ledgers without re-executing their
+/// migrations, an interrupted grant is redone idempotently through the
+/// same grant step as a live one, and the remaining queue drains
 /// normally. The resumed report is equal to the uninterrupted run's
 /// wherever the WAL recorded the outcome (grant order, attempts, finish
-/// times, final mappings).
-StormReport run_remap_storm(Substrate& substrate, const fault::FaultPlan& plan,
-                            SiteId failed_site,
-                            const std::vector<RemapRequest>& requests,
-                            const SchedulerOptions& options,
-                            const StormResume* resume = nullptr);
+/// times, final mappings). Throws InvalidArgument when the WAL does not
+/// fit `requests`.
+StormReport run_remap_storm(
+    Substrate& substrate, const fault::FaultPlan& plan, SiteId failed_site,
+    const std::vector<RemapRequest>& requests, const SchedulerOptions& options,
+    const recover::RecoveredControlPlane* resume = nullptr);
 
 }  // namespace geomap::tenancy

@@ -43,96 +43,6 @@ std::vector<sim::TenantFlow> flows_of(const Substrate& substrate) {
 
 }  // namespace
 
-StormResume build_storm_resume(const recover::RecoveredControlPlane& rcp,
-                               const std::vector<RemapRequest>& requests) {
-  GEOMAP_CHECK_ARG(rcp.requests.size() <= requests.size(),
-                   "WAL holds " << rcp.requests.size()
-                                << " remap requests, the recomputed case "
-                                << "produces only " << requests.size());
-  for (std::size_t i = 0; i < rcp.requests.size(); ++i) {
-    GEOMAP_CHECK_ARG(rcp.requests[i].tenant == requests[i].tenant,
-                     "WAL request " << i << " names tenant "
-                                    << rcp.requests[i].tenant
-                                    << ", recomputed case expects "
-                                    << requests[i].tenant);
-  }
-  StormResume sr;
-  sr.durable_requests = rcp.requests.size();
-  Seconds last = 0;
-  sr.pending.reserve(requests.size());
-  for (const RemapRequest& r : requests) {
-    ResumePending rp;
-    rp.tenant = r.tenant;
-    rp.next_eligible = r.request_time;
-    sr.pending.push_back(rp);
-    last = std::max(last, r.request_time);
-  }
-  const auto pending_of = [&sr](int tenant) -> ResumePending& {
-    for (ResumePending& p : sr.pending) {
-      if (p.tenant == tenant) return p;
-    }
-    GEOMAP_CHECK_ARG(false, "WAL names tenant " << tenant
-                                                << " that filed no request");
-    return sr.pending.front();  // unreachable
-  };
-  // A requeue both counts and re-arms the backoff timer: the pending
-  // timer fires exactly once after recovery, at the recorded instant.
-  for (const recover::SchedRequeueRecord& rq : rcp.requeues) {
-    ResumePending& p = pending_of(rq.tenant);
-    p.attempts = rq.attempts;
-    p.next_eligible = rq.next_eligible;
-    last = std::max(last, rq.t);
-  }
-  for (const recover::SchedGiveUpRecord& gu : rcp.give_ups) {
-    ResumePending& p = pending_of(gu.tenant);
-    p.attempts = gu.attempts;
-    p.done = true;
-    p.gave_up = true;
-    last = std::max(last, gu.t);
-  }
-  for (const recover::RecoveredGrant& g : rcp.grants) {
-    last = std::max(last, g.grant.granted_at);
-    if (g.finished) {
-      ResumePending& p = pending_of(g.grant.tenant);
-      p.attempts = g.grant.attempts;
-      p.done = true;
-      ResumeFinished rf;
-      rf.tenant = g.grant.tenant;
-      rf.granted_at = g.grant.granted_at;
-      rf.attempts = g.grant.attempts;
-      rf.at_grant = g.grant.current;
-      rf.report = recover::rebuild_migration_report(
-          g.migs, g.grant.current, g.grant.target, g.grant.granted_at,
-          g.finish.finish_time);
-      // The finish record is authoritative where the journal alone is
-      // lossy (idle grants, rounding).
-      rf.report.migration_seconds = g.finish.migration_seconds;
-      rf.report.final_mapping = g.finish.final_mapping;
-      sr.finished.push_back(std::move(rf));
-      last = std::max(last, g.finish.finish_time);
-    } else if (!g.requeued) {
-      ResumeInterrupted& ri = sr.interrupted;
-      ri.active = true;
-      ri.tenant = g.grant.tenant;
-      ri.granted_at = g.grant.granted_at;
-      ri.attempts = g.grant.attempts;
-      ri.at_grant = g.grant.current;
-      ri.target = g.grant.target;
-      ri.view_capacities.clear();
-      ri.view_capacities.reserve(g.grant.view_capacities.size());
-      for (const double v : g.grant.view_capacities) {
-        ri.view_capacities.push_back(static_cast<int>(v));
-      }
-      ResumePending& p = pending_of(g.grant.tenant);
-      p.attempts = g.grant.attempts;
-    }
-  }
-  sr.requeues = static_cast<int>(rcp.requeues.size());
-  sr.gave_up = static_cast<int>(rcp.give_ups.size());
-  sr.last_activity = last;
-  return sr;
-}
-
 MultiTenantSoakCase run_multitenant_soak_case(
     std::uint64_t seed, const MultiTenantSoakOptions& options) {
   return run_soak_case(seed, options, SoakCaseWal{}).soak_case;
@@ -293,17 +203,7 @@ SoakCaseRun run_soak_case(std::uint64_t seed,
                   recover::encode_detect_decision(decision));
       wal->sync();
     }
-    if (elog != nullptr) {
-      elog->emit(decision.detect_time,
-                 decision.suspected_correct ? obs::EventSeverity::kInfo
-                                            : obs::EventSeverity::kWarn,
-                 "soak", "detect",
-                 {obs::field("detected", decision.detected),
-                  obs::field("suspected_correct", decision.suspected_correct),
-                  obs::field("suspect", decision.suspect),
-                  obs::field("failed_site", decision.failed_site),
-                  obs::field("outage_time", decision.outage_time)});
-    }
+    if (elog != nullptr) recover::emit_detect_decision(*elog, decision);
     if (wal != nullptr) {
       recover::SnapshotStateRecord state;
       state.watermark = samples.size();
@@ -350,10 +250,8 @@ SoakCaseRun run_soak_case(std::uint64_t seed,
   initial.reserve(substrate.tenants.size());
   for (const Tenant& t : substrate.tenants) initial.push_back(t.mapping);
 
-  StormResume storm_resume;
-  if (rcp != nullptr) storm_resume = build_storm_resume(*rcp, requests);
-  result.storm = run_remap_storm(substrate, chaos_plan.plan, failed, requests,
-                                 sched, rcp != nullptr ? &storm_resume : nullptr);
+  result.storm =
+      run_remap_storm(substrate, chaos_plan.plan, failed, requests, sched, rcp);
 
   // 6. Certify every granted journal, then the merged cross-tenant view.
   fault::MigrationInvariantOptions inv;

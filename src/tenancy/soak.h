@@ -34,7 +34,7 @@
 //   5. every tenant homed on the dead site files a RemapRequest
 //      (severity = fraction of its ranks stranded) and the scheduler
 //      drains the storm under the configured policy; [WAL] a resumed
-//      storm continues from build_storm_resume's queue state;
+//      storm continues from the replayed control plane itself;
 //   6. every granted journal replays through
 //      fault::check_migration_invariants, and the merged journals (plus
 //      bystander tenants' static placements) through
@@ -170,17 +170,6 @@ struct SoakCaseRun {
 SoakCaseRun run_soak_case(std::uint64_t seed,
                           const MultiTenantSoakOptions& options,
                           const SoakCaseWal& log);
-
-/// Shape a replayed control plane into run_remap_storm's resume input:
-/// per-request queue state (attempts consumed, pending backoff timers —
-/// a timer pending at the crash fires exactly once after recovery),
-/// finished grants in WAL order with rebuilt reports, the interrupted
-/// grant's recorded decision inputs, and how many requests are already
-/// durable. `requests` must be the deterministically recomputed request
-/// list; throws InvalidArgument unless the WAL's durable sched_request
-/// records are a prefix of it.
-StormResume build_storm_resume(const recover::RecoveredControlPlane& rcp,
-                               const std::vector<RemapRequest>& requests);
 
 MultiTenantSoakReport run_multitenant_soak(
     const std::vector<std::uint64_t>& seeds,

@@ -101,6 +101,26 @@ mapping::MappingProblem with_zero_byte_messages(mapping::MappingProblem p,
   return p;
 }
 
+/// A message volume from {2^10, 2^11, 2^12, 2^63, 2^64}: sums of a few
+/// such volumes tie often (and 2^63 + 2^10 rounds to 2^63), so a fill's
+/// tie-break decides many of its picks.
+Bytes tie_heavy_volume(Rng& rng) {
+  constexpr int kExponents[] = {10, 11, 12, 63, 64};
+  return std::ldexp(1.0, kExponents[rng.uniform_index(5)]);
+}
+
+/// `p` with every message's volume redrawn by tie_heavy_volume.
+mapping::MappingProblem with_tie_heavy_volumes(mapping::MappingProblem p,
+                                               std::uint64_t seed) {
+  Rng rng(seed);
+  trace::CommMatrix::Builder b(p.num_processes());
+  for (const trace::CommEdge& e : p.comm.edges())
+    b.add_message(e.src, e.dst, tie_heavy_volume(rng), e.count);
+  p.comm = b.build();
+  p.validate();
+  return p;
+}
+
 /// K-means at the benchmark's N = 4096 on the 4-region AWS cloud, one
 /// group per region (kappa = 4), with 20 % of the processes pinned.
 mapping::MappingProblem kmeans_at_scale(std::uint64_t seed) {
@@ -126,7 +146,8 @@ TEST_P(FillEngineEquivalence, HeapMatchesNaiveExactly) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   const mapping::MappingProblem problems[] = {
       random_problem(24, 0.0, seed, 5), random_problem(24, 0.3, seed, 5),
-      with_zero_byte_messages(random_problem(24, 0.3, seed, 5), seed)};
+      with_zero_byte_messages(random_problem(24, 0.3, seed, 5), seed),
+      with_tie_heavy_volumes(random_problem(24, 0.3, seed, 5), seed)};
   for (const mapping::MappingProblem& p : problems) {
     const Grouping g = group_sites(p.site_coords, 2);
     // Try every order of the groups.
@@ -231,12 +252,11 @@ mapping::MappingProblem search_problem(int sites, int n, double pin_ratio,
   const net::CloudTopology topo(
       net::synthetic_profile(sites, (n + sites - 1) / sites + slack, seed));
   mapping::MappingProblem p;
-  const int exponents[] = {10, 11, 12, 63, 64};
   trace::CommMatrix::Builder builder(n);
   for (ProcessId i = 0; i < n; ++i)
     for (int d = 0; d < 4; ++d)
       builder.add_message(i, static_cast<ProcessId>(rng.uniform_index(n)),
-                          std::ldexp(1.0, exponents[rng.uniform_index(5)]),
+                          tie_heavy_volume(rng),
                           static_cast<double>(1 + rng.uniform_index(8)));
   p.comm = builder.build();
   p.network = uniform

@@ -579,25 +579,26 @@ TEST(RecoverStormTest, RequeuedRetryTimerFiresExactlyOnceAfterRecovery) {
   EXPECT_TRUE(rcp.grants.empty());
   EXPECT_FALSE(rcp.has_interrupted);
 
-  const tenancy::StormResume resume = build_storm_resume(rcp, requests);
-  ASSERT_EQ(resume.pending.size(), 1u);
-  EXPECT_EQ(resume.pending[0].attempts, 2);
-  EXPECT_FALSE(resume.pending[0].done);
-  // The pending backoff timer survives at its recorded instant...
-  EXPECT_EQ(resume.pending[0].next_eligible, rcp.requeues[1].next_eligible);
+  // The request is still open after two attempts, its backoff timer
+  // pending at the instant the second requeue recorded...
+  EXPECT_EQ(rcp.requeues[1].tenant, requests[0].tenant);
+  EXPECT_EQ(rcp.requeues[1].attempts, 2);
 
-  // ...and fires exactly once: the resumed storm consumes attempt 3 and
-  // gives up with the baseline's exact counters. A re-fired timer would
-  // show up as extra attempts/requeues; a lost one as a hung request.
+  // ...and the timer fires exactly once, at that instant: the resumed
+  // storm consumes attempt 3 and gives up with the baseline's exact
+  // counters. A re-fired timer would show up as extra attempts/requeues;
+  // a lost one as a hung request.
   tenancy::Substrate resumed_sub = doctored();
   const tenancy::StormReport resumed = tenancy::run_remap_storm(
-      resumed_sub, plan, failed, requests, options, &resume);
+      resumed_sub, plan, failed, requests, options, &rcp);
   ASSERT_EQ(resumed.recoveries.size(), 1u);
   EXPECT_EQ(resumed.recoveries[0].attempts, 3);
   EXPECT_TRUE(resumed.recoveries[0].gave_up);
   EXPECT_FALSE(resumed.recoveries[0].granted);
   EXPECT_EQ(resumed.requeues, 2);
   EXPECT_EQ(resumed.gave_up, 1);
+  EXPECT_EQ(resumed.storm_drain_seconds,
+            rcp.requeues[1].next_eligible - requests[0].request_time);
   EXPECT_EQ(resumed.storm_drain_seconds, baseline.storm_drain_seconds);
 }
 
@@ -707,21 +708,31 @@ TEST(RecoverDriverTest, DeterministicEventStreamSurvivesACrash) {
   std::ostringstream baseline;
   cb.events().write_jsonl(baseline);
 
-  TempDir crash_dir("geomap-recover-driver-det-crash");
-  {
-    obs::Collector dead;
-    CrashInjector::instance().arm("wal.append.sched_finish.before");
-    EXPECT_THROW(
-        run_recoverable_case(17, small_recoverable(crash_dir.str(), &dead)),
-        CrashTriggered);
+  // Crash points in each phase that streams — detection, decision,
+  // queue, grant, journal, finish — so each phase's events are re-emitted
+  // from the WAL ahead of a resumed tail. Each point must fire.
+  for (const char* point :
+       {"wal.append.detector_onset.after", "wal.append.detect_decision.after",
+        "wal.append.sched_request.after", "wal.append.sched_grant.after",
+        "wal.append.mig_commit.after", "wal.append.sched_finish.before"}) {
+    SCOPED_TRACE(point);
+    TempDir crash_dir("geomap-recover-driver-det-crash");
+    {
+      obs::Collector dead;
+      CrashInjector::instance().arm(point);
+      EXPECT_THROW(
+          run_recoverable_case(17, small_recoverable(crash_dir.str(), &dead)),
+          CrashTriggered);
+      CrashInjector::instance().disarm();
+    }
+    obs::Collector recovered;
+    const RecoverableCaseResult r = run_recoverable_case(
+        17, small_recoverable(crash_dir.str(), &recovered));
+    EXPECT_TRUE(r.resumed);
+    std::ostringstream resumed;
+    recovered.events().write_jsonl(resumed);
+    EXPECT_EQ(resumed.str(), baseline.str());
   }
-  obs::Collector recovered;
-  const RecoverableCaseResult r =
-      run_recoverable_case(17, small_recoverable(crash_dir.str(), &recovered));
-  EXPECT_TRUE(r.resumed);
-  std::ostringstream resumed;
-  recovered.events().write_jsonl(resumed);
-  EXPECT_EQ(resumed.str(), baseline.str());
   ::unsetenv("GEOMAP_PROFILE_DETERMINISTIC");
 }
 
